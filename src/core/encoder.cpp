@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace carol::core {
 
@@ -50,6 +51,25 @@ EncodedState FeatureEncoder::EncodeRows(
   out.adjacency =
       nn::Matrix::FromFlat(h, h, topology.AdjacencyFlat());
   return out;
+}
+
+std::string EncodedState::ShapeError() const {
+  const std::size_t h = m.rows();
+  const auto check = [h](const nn::Matrix& x, const char* name,
+                         std::size_t cols) -> std::string {
+    if (x.rows() == h && x.cols() == cols) return {};
+    return std::string(name) + " is " + std::to_string(x.rows()) + "x" +
+           std::to_string(x.cols()) + ", expected " + std::to_string(h) +
+           "x" + std::to_string(cols);
+  };
+  for (std::string error :
+       {check(m, "m", FeatureEncoder::kMetricFeatures),
+        check(s, "s", FeatureEncoder::kSchedFeatures),
+        check(roles, "roles", FeatureEncoder::kRoleFeatures),
+        check(adjacency, "adjacency", h)}) {
+    if (!error.empty()) return error;
+  }
+  return {};
 }
 
 EncodedState FeatureEncoder::Encode(

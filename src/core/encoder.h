@@ -16,6 +16,8 @@
 #ifndef CAROL_CORE_ENCODER_H_
 #define CAROL_CORE_ENCODER_H_
 
+#include <string>
+
 #include "nn/matrix.h"
 #include "sim/federation.h"
 #include "workload/trace.h"
@@ -39,6 +41,9 @@ struct EncodedState {
   nn::Matrix adjacency;  // [H x H]
 
   std::size_t num_hosts() const { return m.rows(); }
+  // Empty when every matrix has the shape above for H = m.rows(),
+  // otherwise a description of the first mismatch.
+  std::string ShapeError() const;
 };
 
 class FeatureEncoder {

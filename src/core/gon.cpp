@@ -1,10 +1,10 @@
 #include "core/gon.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 #include "core/bucket.h"
@@ -15,6 +15,8 @@ namespace {
 constexpr int kMsInputWidth =
     FeatureEncoder::kMetricFeatures + FeatureEncoder::kSchedFeatures;  // 11
 constexpr int kGatInputWidth = 4 + FeatureEncoder::kRoleFeatures;      // 6
+// Host rows per stacked ascent chunk (see GenerateBatch).
+constexpr std::size_t kAscentChunkRows = 512;
 }  // namespace
 
 // The composite discriminator of Figure 3: per-host feed-forward encoder
@@ -57,20 +59,25 @@ struct GonModel::Network : nn::Module {
   }
 };
 
-// Recycled buffers for the tape-free scoring path and the stacked tape
-// builds; steady state is allocation-free.
+// Recycled buffers for the tape-free scoring path, the hand-written
+// ascent and the stacked training tape builds; steady state is
+// allocation-free.
 struct GonModel::InferenceWorkspace {
   nn::Matrix ms_stack;     // [K*H x 11]
   nn::Matrix u_stack;      // [K*H x 6]
   nn::Matrix s_stack;      // [K*H x 2]  (tape builds)
   nn::Matrix roles_stack;  // [K*H x 2]  (tape builds)
   nn::Matrix m_stack;      // [K*H x 9]  (tape builds)
-  std::array<nn::Matrix, 2> mlp_scratch;
-  std::array<nn::Matrix, 2> head_scratch;
+  std::vector<nn::Matrix> mlp_outs;
+  std::vector<nn::Matrix> head_outs;
   nn::GraphAttention::InferenceScratch gat;
   nn::Matrix e_g;     // [K*H x gat_width]
   nn::Matrix pooled;  // [K x hidden+gat]
   nn::Matrix ones_stack;
+  // Attention edges of a DiscriminateBatch call / of all and of the
+  // still-active GenerateBatch candidates.
+  nn::AttentionEdges edges;
+  nn::AttentionEdges active_edges;
   std::vector<const nn::Matrix*> adj_ptrs;
   std::vector<const nn::Matrix*> m_ptrs;
   std::vector<double> scores;
@@ -79,10 +86,60 @@ struct GonModel::InferenceWorkspace {
   // and only that thread ever touches its slot's buffers).
   struct EncoderChunk {
     nn::Matrix in;  // this thread's [B*H x 11] row block
-    std::array<nn::Matrix, 2> mlp;
+    std::vector<nn::Matrix> mlp;
   };
   std::vector<EncoderChunk> enc_chunks;
+  // Eq.-1 ascent: forward activations kept for the backward sweep.
+  struct Ascent {
+    std::vector<nn::Matrix> enc;   // encoder layer outputs
+    nn::GraphAttention::Activations gat;
+    std::vector<nn::Matrix> head;  // head layer outputs; back() is D
+    nn::Matrix d_score;            // d log D / d D            [A x 1]
+    nn::Matrix d_ems, d_eg;        // mean-pool input gradients
+    nn::Matrix d_u;                // GAT input gradient       [A*H x 6]
+    nn::Mlp::GradScratch enc_grad, head_grad;
+    nn::GraphAttention::GradScratch gat_grad;
+    nn::Matrix grad;               // grad_M sum log D         [A*H x 9]
+  } ascent;
 };
+
+namespace {
+
+// Mean-pools one state's H encoder rows (from row `ems_row` of `e_ms`)
+// and GAT rows (from row `eg_row` of `e_g`) into its [hidden + gat]
+// head-input row, in the sum-then-scale order of the RowMean tape op.
+void PoolState(const nn::Matrix& e_ms, std::size_t ems_row,
+               const nn::Matrix& e_g, std::size_t eg_row, std::size_t h,
+               double* prow) {
+  const std::size_t hw = e_ms.cols();
+  const std::size_t gw = e_g.cols();
+  const double inv = h == 0 ? 0.0 : 1.0 / static_cast<double>(h);
+  for (std::size_t c = 0; c < hw; ++c) {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < h; ++r) acc += e_ms(ems_row + r, c);
+    prow[c] = acc * inv;
+  }
+  for (std::size_t c = 0; c < gw; ++c) {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < h; ++r) acc += e_g(eg_row + r, c);
+    prow[hw + c] = acc * inv;
+  }
+}
+
+// Rejects a state the stacked kernels would read out of bounds: every
+// state's s, roles and adjacency must match its metrics' host count.
+void CheckStates(std::span<const EncodedState* const> states,
+                 const char* where) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const std::string error = states[i]->ShapeError();
+    if (!error.empty()) {
+      throw std::invalid_argument(std::string(where) + ": state " +
+                                  std::to_string(i) + ": " + error);
+    }
+  }
+}
+
+}  // namespace
 
 GonModel::~GonModel() = default;
 
@@ -169,76 +226,65 @@ nn::Value GonModel::ForwardBatch(nn::Tape& tape, nn::Value m,
   return net.head.Forward(tape, pooled);  // [K x 1] scores (Eq. 5)
 }
 
+void GonModel::StackInputs(std::span<const nn::Matrix* const> ms,
+                           std::span<const EncodedState* const> ctxs,
+                           std::size_t i0, std::size_t i1) {
+  InferenceWorkspace& ws = *inference_;
+  const std::size_t h = ctxs.front()->m.rows();
+  const std::size_t mc = FeatureEncoder::kMetricFeatures;
+  for (std::size_t i = i0; i < i1; ++i) {
+    const nn::Matrix& m = *ms[i];
+    const EncodedState& ctx = *ctxs[i];
+    for (std::size_t r = 0; r < h; ++r) {
+      auto mrow = m.row(r);
+      auto srow = ctx.s.row(r);
+      auto rrow = ctx.roles.row(r);
+      auto ms_row = ws.ms_stack.row(i * h + r);
+      std::copy(mrow.begin(), mrow.end(), ms_row.begin());
+      std::copy(srow.begin(), srow.end(),
+                ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
+      auto u_row = ws.u_stack.row(i * h + r);
+      std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
+      std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
+    }
+  }
+}
+
 void GonModel::ForwardInferenceBatch(
     std::span<const nn::Matrix* const> ms,
-    std::span<const EncodedState* const> ctxs, std::vector<double>& out) {
+    std::span<const EncodedState* const> ctxs,
+    const nn::AttentionEdges& edges, std::vector<double>& out) {
   Network& net = *net_impl_;
   InferenceWorkspace& ws = *inference_;
   const std::size_t k = ctxs.size();
   const std::size_t h = ctxs.front()->m.rows();
-  const std::size_t mc = FeatureEncoder::kMetricFeatures;
   nn::WorkerPool* pool = (pool_ && k > 1) ? pool_.get() : nullptr;
 
   // Stack [M_i, S_i] rows and the GAT inputs in one sweep. Each state
   // owns its row block, so the sweep fans out across the pool.
   ws.ms_stack.Resize(k * h, kMsInputWidth);
   ws.u_stack.Resize(k * h, kGatInputWidth);
-  auto stack_states = [&](std::size_t i0, std::size_t i1, int) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const nn::Matrix& m = *ms[i];
-      const EncodedState& ctx = *ctxs[i];
-      for (std::size_t r = 0; r < h; ++r) {
-        auto mrow = m.row(r);
-        auto srow = ctx.s.row(r);
-        auto rrow = ctx.roles.row(r);
-        auto ms_row = ws.ms_stack.row(i * h + r);
-        std::copy(mrow.begin(), mrow.end(), ms_row.begin());
-        std::copy(srow.begin(), srow.end(),
-                  ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
-        auto u_row = ws.u_stack.row(i * h + r);
-        std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
-        std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
-      }
-    }
-  };
   if (pool != nullptr) {
-    pool->ParallelFor(k, stack_states);
+    pool->ParallelFor(k, [&](std::size_t i0, std::size_t i1, int) {
+      StackInputs(ms, ctxs, i0, i1);
+    });
   } else {
-    stack_states(0, k, 0);
+    StackInputs(ms, ctxs, 0, k);
   }
 
   // GAT branch: shared projections row-partitioned by state block,
-  // per-state attention fanned across the pool (see layers.cpp).
-  ws.adj_ptrs.clear();
-  for (const EncodedState* ctx : ctxs) ws.adj_ptrs.push_back(&ctx->adjacency);
-  net.gat.ForwardInferenceBatch(ws.u_stack, ws.adj_ptrs, ws.gat, ws.e_g,
-                                pool);
+  // per-state sparse attention fanned across the pool (see layers.cpp).
+  net.gat.ForwardInferenceBatch(ws.u_stack, edges, ws.gat, ws.e_g, pool);
 
-  // Encoder + per-state mean-pool (same sum-then-scale order as the
-  // RowMean op). Threaded: each thread encodes its contiguous state
-  // chunk's rows and pools them straight into the (disjoint) pooled
-  // rows — the row-partitioned encoder equals the one stacked kernel of
-  // the sequential path bit for bit (see src/nn/README.md).
+  // Encoder + per-state mean-pool. Threaded: each thread encodes its
+  // contiguous state chunk's rows and pools them straight into the
+  // (disjoint) pooled rows — the row-partitioned encoder equals the one
+  // stacked kernel of the sequential path bit for bit (see
+  // src/nn/README.md).
   const std::size_t gw = ws.e_g.cols();
   const std::size_t hw = static_cast<std::size_t>(config_.hidden_width);
-  const double inv = h == 0 ? 0.0 : 1.0 / static_cast<double>(h);
   ws.pooled.Resize(k, hw + gw);
-  auto pool_states = [&](const nn::Matrix& e_ms, std::size_t i,
-                         std::size_t ms_row_base) {
-    double* prow = ws.pooled.flat().data() + i * (hw + gw);
-    for (std::size_t c = 0; c < hw; ++c) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < h; ++r) {
-        acc += e_ms(i * h - ms_row_base + r, c);
-      }
-      prow[c] = acc * inv;
-    }
-    for (std::size_t c = 0; c < gw; ++c) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < h; ++r) acc += ws.e_g(i * h + r, c);
-      prow[hw + c] = acc * inv;
-    }
-  };
+  double* pooled = ws.pooled.flat().data();
   if (pool != nullptr) {
     if (ws.enc_chunks.size() <
         static_cast<std::size_t>(pool->thread_count())) {
@@ -250,28 +296,100 @@ void GonModel::ForwardInferenceBatch(
       chunk.in.CopyRowsFrom(ws.ms_stack, i0 * h, i1 * h);
       const nn::Matrix& e_ms =
           net.ms_encoder.ForwardInference(chunk.in, chunk.mlp);
-      for (std::size_t i = i0; i < i1; ++i) pool_states(e_ms, i, i0 * h);
+      for (std::size_t i = i0; i < i1; ++i) {
+        PoolState(e_ms, (i - i0) * h, ws.e_g, i * h, h,
+                  pooled + i * (hw + gw));
+      }
     });
   } else {
     const nn::Matrix& e_ms =
-        net.ms_encoder.ForwardInference(ws.ms_stack, ws.mlp_scratch);
-    for (std::size_t i = 0; i < k; ++i) pool_states(e_ms, i, 0);
+        net.ms_encoder.ForwardInference(ws.ms_stack, ws.mlp_outs);
+    for (std::size_t i = 0; i < k; ++i) {
+      PoolState(e_ms, i * h, ws.e_g, i * h, h, pooled + i * (hw + gw));
+    }
   }
 
   const nn::Matrix& scores =
-      net.head.ForwardInference(ws.pooled, ws.head_scratch);
+      net.head.ForwardInference(ws.pooled, ws.head_outs);
   out.resize(k);
   for (std::size_t i = 0; i < k; ++i) out[i] = scores(i, 0);
 }
 
+void GonModel::AscentGradient(std::span<const nn::Matrix* const> ms,
+                              std::span<const EncodedState* const> ctxs,
+                              const nn::AttentionEdges& edges) {
+  Network& net = *net_impl_;
+  InferenceWorkspace& ws = *inference_;
+  InferenceWorkspace::Ascent& as = ws.ascent;
+  const std::size_t k = ctxs.size();
+  const std::size_t h = ctxs.front()->m.rows();
+  const std::size_t hw = static_cast<std::size_t>(config_.hidden_width);
+  const std::size_t gw = static_cast<std::size_t>(config_.gat_width);
+  const std::size_t mc = FeatureEncoder::kMetricFeatures;
+
+  // Forward (Eqs. 3-5) with the kernels of the scoring path, keeping
+  // every activation the backward sweep reads.
+  ws.ms_stack.Resize(k * h, kMsInputWidth);
+  ws.u_stack.Resize(k * h, kGatInputWidth);
+  StackInputs(ms, ctxs, 0, k);
+  net.ms_encoder.ForwardInference(ws.ms_stack, as.enc);
+  net.gat.ForwardSparse(ws.u_stack, edges, 0, as.gat);
+  ws.pooled.Resize(k, hw + gw);
+  for (std::size_t i = 0; i < k; ++i) {
+    PoolState(as.enc.back(), i * h, as.gat.out, i * h, h,
+              ws.pooled.flat().data() + i * (hw + gw));
+  }
+  net.head.ForwardInference(ws.pooled, as.head);
+  const nn::Matrix& d = as.head.back();
+
+  // Backward of sum_i log D_i with respect to M only. Each step applies
+  // the expression of the tape op it replaces, and every buffer sums its
+  // contributions in the tape's reverse-node order (see src/nn/README.md).
+  as.d_score.Resize(k, 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    as.d_score(i, 0) = 1.0 / std::max(d(i, 0), nn::Tape::kLogEps);
+  }
+  const nn::Matrix& d_pooled =
+      net.head.BackwardInput(as.head, as.d_score, as.head_grad);
+  // RowMean: each of a state's H rows receives d_pooled / H.
+  const double inv = h == 0 ? 0.0 : 1.0 / static_cast<double>(h);
+  as.d_ems.Resize(k * h, hw);
+  as.d_eg.Resize(k * h, gw);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double* prow = d_pooled.flat().data() + i * (hw + gw);
+    for (std::size_t r = i * h; r < (i + 1) * h; ++r) {
+      for (std::size_t c = 0; c < hw; ++c) as.d_ems(r, c) = prow[c] * inv;
+      for (std::size_t c = 0; c < gw; ++c) {
+        as.d_eg(r, c) = prow[hw + c] * inv;
+      }
+    }
+  }
+  net.gat.BackwardInput(edges, as.gat, as.d_eg, as.gat_grad, as.d_u);
+  const nn::Matrix& d_ms =
+      net.ms_encoder.BackwardInput(as.enc, as.d_ems, as.enc_grad);
+  // M feeds the encoder (all 9 columns) and the GAT input (the first 4
+  // utilization columns): two terms per entry, and a two-term sum is the
+  // same in either order.
+  as.grad.Resize(k * h, mc);
+  for (std::size_t r = 0; r < k * h; ++r) {
+    for (std::size_t c = 0; c < mc; ++c) {
+      as.grad(r, c) = c < 4 ? as.d_u(r, c) + d_ms(r, c) : d_ms(r, c);
+    }
+  }
+}
+
 double GonModel::Discriminate(const EncodedState& state) {
+  const EncodedState* p = &state;
+  CheckStates(std::span<const EncodedState* const>(&p, 1), "Discriminate");
   if (config_.use_fast_path) {
-    const EncodedState* p = &state;
     const nn::Matrix* m = &state.m;
     std::vector<double> score;
+    InferenceWorkspace& ws = *inference_;
+    ws.adj_ptrs.assign(1, &state.adjacency);
+    ws.edges.Build(ws.adj_ptrs);
     ForwardInferenceBatch(std::span<const nn::Matrix* const>(&m, 1),
                           std::span<const EncodedState* const>(&p, 1),
-                          score);
+                          ws.edges, score);
     return score.front();
   }
   nn::Tape tape;
@@ -285,6 +403,7 @@ std::vector<double> GonModel::DiscriminateBatch(
     std::span<const EncodedState* const> states) {
   std::vector<double> out;
   if (states.empty()) return out;
+  CheckStates(states, "DiscriminateBatch");
   if (!config_.use_fast_path) {
     out.reserve(states.size());
     for (const EncodedState* s : states) out.push_back(Discriminate(*s));
@@ -293,8 +412,13 @@ std::vector<double> GonModel::DiscriminateBatch(
   if (SameHostCount(states)) {
     InferenceWorkspace& ws = *inference_;
     ws.m_ptrs.clear();
-    for (const EncodedState* s : states) ws.m_ptrs.push_back(&s->m);
-    ForwardInferenceBatch(ws.m_ptrs, states, out);
+    ws.adj_ptrs.clear();
+    for (const EncodedState* s : states) {
+      ws.m_ptrs.push_back(&s->m);
+      ws.adj_ptrs.push_back(&s->adjacency);
+    }
+    ws.edges.Build(ws.adj_ptrs);
+    ForwardInferenceBatch(ws.m_ptrs, states, ws.edges, out);
     return out;
   }
   // Mixed host counts: one stacked pass per H bucket (the per-state
@@ -303,17 +427,11 @@ std::vector<double> GonModel::DiscriminateBatch(
   const auto buckets = GroupIndicesBy(
       states.size(), [&](std::size_t i) { return states[i]->m.rows(); });
   std::vector<const EncodedState*> sub_states;
-  std::vector<const nn::Matrix*> sub_ms;
-  std::vector<double> sub_out;
   for (const auto& bucket : buckets) {
     sub_states.clear();
-    sub_ms.clear();
-    for (std::size_t i : bucket) {
-      sub_states.push_back(states[i]);
-      sub_ms.push_back(&states[i]->m);
-    }
-    ForwardInferenceBatch(
-        sub_ms, std::span<const EncodedState* const>(sub_states), sub_out);
+    for (std::size_t i : bucket) sub_states.push_back(states[i]);
+    const std::vector<double> sub_out =
+        DiscriminateBatch(std::span<const EncodedState* const>(sub_states));
     for (std::size_t j = 0; j < bucket.size(); ++j) {
       out[bucket[j]] = sub_out[j];
     }
@@ -331,9 +449,10 @@ std::vector<double> GonModel::DiscriminateBatch(
 
 GenerationResult GonModel::Generate(const nn::Matrix& m_init,
                                     const EncodedState& context) {
+  const EncodedState* ctx = &context;
+  CheckStates(std::span<const EncodedState* const>(&ctx, 1), "Generate");
   if (!config_.use_fast_path) return GenerateSequential(m_init, context);
   const nn::Matrix* init = &m_init;
-  const EncodedState* ctx = &context;
   auto results =
       GenerateBatch(std::span<const nn::Matrix* const>(&init, 1),
                     std::span<const EncodedState* const>(&ctx, 1));
@@ -395,6 +514,7 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
   if (inits.size() != contexts.size()) {
     throw std::invalid_argument("GenerateBatch: inits/contexts mismatch");
   }
+  CheckStates(contexts, "GenerateBatch");
   std::vector<GenerationResult> results(contexts.size());
   if (contexts.empty()) return results;
   if (!config_.use_fast_path) {
@@ -449,84 +569,82 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
       kTotal, -std::numeric_limits<double>::infinity());
   std::vector<char> active(kTotal, 1);
   std::vector<std::size_t> act_idx;
+  std::vector<const nn::Matrix*> sub_m;
   std::vector<const EncodedState*> sub_ctx;
   InferenceWorkspace& ws = *inference_;
+  // The attention edges of every candidate, built once per call; each
+  // ascent chunk runs on its candidates' sub-stack.
+  ws.adj_ptrs.clear();
+  for (const EncodedState* ctx : contexts) {
+    ws.adj_ptrs.push_back(&ctx->adjacency);
+  }
+  ws.edges.Build(ws.adj_ptrs);
 
-  // The ascent only reads grad_M; freezing the network skips every dW/db
-  // accumulation in the backward sweep (roughly a third of its flops).
-  // Scope guard: a throw mid-ascent must not leave the network frozen
-  // (frozen bindings would silently zero all training gradients).
-  struct FrozenGuard {
-    nn::Module* net;
-    explicit FrozenGuard(nn::Module* n) : net(n) { net->SetFrozen(true); }
-    ~FrozenGuard() { net->SetFrozen(false); }
-  } frozen_guard(&net());
   // Each global step advances every still-active candidate by exactly the
-  // update sequential Generate would have applied at that step: the
-  // stacked forward/backward is row-block independent per candidate.
+  // update sequential Generate would have applied at that step. The
+  // active candidates run in stacked chunks of about kAscentChunkRows
+  // host rows, so a chunk's activations stay cache-resident; the stacked
+  // forward/backward is row-block independent per candidate, so chunking
+  // changes no bit.
+  const std::size_t chunk =
+      h == 0 ? 1 : std::max<std::size_t>(1, kAscentChunkRows / h);
   for (int step = 0; step < config_.generation_steps; ++step) {
     act_idx.clear();
     for (std::size_t i = 0; i < kTotal; ++i) {
       if (active[i]) act_idx.push_back(i);
     }
     if (act_idx.empty()) break;
-    const std::size_t a_count = act_idx.size();
+    for (std::size_t a0 = 0; a0 < act_idx.size(); a0 += chunk) {
+      const std::span<const std::size_t> ids(
+          act_idx.data() + a0, std::min(chunk, act_idx.size() - a0));
+      sub_m.clear();
+      sub_ctx.clear();
+      for (const std::size_t i : ids) {
+        sub_m.push_back(&m_cur[i]);
+        sub_ctx.push_back(contexts[i]);
+      }
+      ws.active_edges.Select(ws.edges, ids);
+      // Per-candidate gradient blocks of sum_i log D_i are exactly
+      // grad_M log D_i (the terms are independent).
+      AscentGradient(sub_m, sub_ctx, ws.active_edges);
+      const nn::Matrix& grad = ws.ascent.grad;
+      const nn::Matrix& scores = ws.ascent.head.back();
 
-    ws.m_stack.Resize(a_count * h, c);
-    sub_ctx.clear();
-    for (std::size_t a = 0; a < a_count; ++a) {
-      const nn::Matrix& src = m_cur[act_idx[a]];
-      std::copy(src.flat().begin(), src.flat().end(),
-                ws.m_stack.flat().begin() +
-                    static_cast<std::ptrdiff_t>(a * block));
-      sub_ctx.push_back(contexts[act_idx[a]]);
-    }
-
-    tape_.Reset();
-    net().ClearBindings();
-    nn::Value m = tape_.LeafRef(ws.m_stack, /*requires_grad=*/true);
-    nn::Value d = ForwardBatch(tape_, m, sub_ctx);
-    // Sum of per-candidate log-likelihoods: the per-candidate gradient
-    // blocks are exactly grad_M log D_i (the terms are independent).
-    nn::Value objective = tape_.SumAll(tape_.Log(d));
-    tape_.Backward(objective);
-    const nn::Matrix& grad = m.grad();
-    const nn::Matrix& scores = d.val();
-
-    for (std::size_t a = 0; a < a_count; ++a) {
-      const std::size_t i = act_idx[a];
-      const double obj =
-          std::log(std::max(scores(a, 0), nn::Tape::kLogEps));
-      const double* gp = grad.flat().data() + a * block;
-      double grad_scale = 0.0;
-      for (std::size_t j = 0; j < block; ++j) {
-        grad_scale = std::max(grad_scale, std::abs(gp[j]));
+      for (std::size_t a = 0; a < ids.size(); ++a) {
+        const std::size_t i = ids[a];
+        const double obj =
+            std::log(std::max(scores(a, 0), nn::Tape::kLogEps));
+        const double* gp = grad.flat().data() + a * block;
+        double grad_scale = 0.0;
+        for (std::size_t j = 0; j < block; ++j) {
+          grad_scale = std::max(grad_scale, std::abs(gp[j]));
+        }
+        if (grad_scale < 1e-12) {
+          active[i] = 0;
+          continue;
+        }
+        bool moved = false;
+        double* mp = m_cur[i].flat().data();
+        for (std::size_t j = 0; j < block; ++j) {
+          const double delta = lr * gp[j] / grad_scale;
+          if (std::abs(delta) > 1e-9) moved = true;
+          mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
+        }
+        ++results[i].steps;
+        if (!moved ||
+            std::abs(obj - prev_obj[i]) < config_.generation_tol) {
+          active[i] = 0;
+          continue;
+        }
+        prev_obj[i] = obj;
       }
-      if (grad_scale < 1e-12) {
-        active[i] = 0;
-        continue;
-      }
-      bool moved = false;
-      double* mp = m_cur[i].flat().data();
-      for (std::size_t j = 0; j < block; ++j) {
-        const double delta = lr * gp[j] / grad_scale;
-        if (std::abs(delta) > 1e-9) moved = true;
-        mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
-      }
-      ++results[i].steps;
-      if (!moved ||
-          std::abs(obj - prev_obj[i]) < config_.generation_tol) {
-        active[i] = 0;
-        continue;
-      }
-      prev_obj[i] = obj;
     }
   }
 
   // Final confidences: one stacked inference pass over the converged M*.
   ws.m_ptrs.clear();
   for (std::size_t i = 0; i < kTotal; ++i) ws.m_ptrs.push_back(&m_cur[i]);
-  ForwardInferenceBatch(ws.m_ptrs, contexts, ws.scores);
+  ForwardInferenceBatch(ws.m_ptrs, contexts, ws.edges, ws.scores);
   for (std::size_t i = 0; i < kTotal; ++i) {
     results[i].metrics = std::move(m_cur[i]);
     results[i].confidence = ws.scores[i];
@@ -535,6 +653,7 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
 }
 
 double GonModel::TrainBatch(const std::vector<const EncodedState*>& batch) {
+  CheckStates(batch, "TrainBatch");
   if (!config_.use_fast_path || !SameHostCount(batch)) {
     return TrainBatchSequential(batch);
   }

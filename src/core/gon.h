@@ -16,13 +16,20 @@
 //   log D(M,S,G) + log(1 - D(Z*,S,G)).
 //
 // Latency design (the paper's headline metric is per-interval decision
-// time): scoring runs on a tape-free inference workspace with recycled
-// buffers; generation reuses ONE arena tape across ascent steps and
-// intervals; and the *Batch entry points stack K candidate states into a
-// single kernel pass, so scoring the node-shift neighborhood costs one
-// forward instead of K. Per-host encoder rows and per-state attention
-// blocks are independent, so batched results match the sequential ones
-// exactly. Not thread-safe: use one GonModel per thread.
+// time): the decision path — scoring and the Eq.-1 ascent — is
+// tape-free. Scoring runs a forward over recycled buffers; each ascent
+// step runs a hand-written forward and backward of this fixed graph that
+// computes grad_M log D only. Graph attention runs over the topology's
+// edges (a CSR list built once per call from EncodedState::adjacency),
+// never over a dense H x H block. The *Batch entry points stack K
+// candidate states into a single kernel pass, so scoring the node-shift
+// neighborhood costs one forward instead of K. Per-host encoder rows and
+// per-state attention blocks are independent, so batched results match
+// the sequential ones exactly; and every sparse kernel repeats the
+// arithmetic of the dense tape ops in the same order (src/nn/README.md),
+// so the decisions are bit-identical to the tape path's. The arena tape
+// is used for training only. Not thread-safe: use one GonModel per
+// thread.
 #ifndef CAROL_CORE_GON_H_
 #define CAROL_CORE_GON_H_
 
@@ -66,14 +73,14 @@ struct GonConfig {
   // unfused three-node dense layers, per-sample training graphs). The
   // two paths compute the same values; benches measure the gap.
   bool use_fast_path = true;
-  // Threads for the tape-free batched scoring path (DiscriminateBatch /
-  // the final GenerateBatch confidence pass): the K stacked states fan
-  // out across a small reusable worker pool — per-state GAT attention
-  // (the O(H^2) block that dominates H>=64), encoder rows and pooling.
-  // Results are bit-identical to the sequential path for any value
-  // (pinned by tests/attention_threading_test.cpp). 1 = sequential, no
-  // pool is created. The tape-based generation ascent stays sequential
-  // (tape node construction shares one arena).
+  // Threads for the batched scoring pass (DiscriminateBatch / the final
+  // GenerateBatch confidence pass): the K stacked states fan out across
+  // a small reusable worker pool — stacking, GAT projections and sparse
+  // attention, encoder rows and pooling. Results are bit-identical to
+  // the sequential path for any value (pinned by
+  // tests/attention_threading_test.cpp and tests/gon_ascent_test.cpp).
+  // 1 = sequential, no pool is created. The Eq.-1 ascent steps run on
+  // the calling thread.
   int attention_threads = 1;
 };
 
@@ -101,7 +108,10 @@ class GonModel {
   // host count. Matches K sequential Discriminate calls (the per-host /
   // per-state computations are independent; see header comment). States
   // with differing host counts are bucketed by H and run as one stacked
-  // pass per bucket.
+  // pass per bucket. Every entry point taking states (this, Generate*,
+  // training) first checks each state's shapes — m [H x 9], s [H x 2],
+  // roles [H x 2], adjacency [H x H] — and throws std::invalid_argument
+  // naming the first bad state's index.
   std::vector<double> DiscriminateBatch(
       std::span<const EncodedState* const> states);
   std::vector<double> DiscriminateBatch(std::span<const EncodedState> states);
@@ -113,7 +123,8 @@ class GonModel {
                             const EncodedState& context);
 
   // Batched Eq. (1): runs the input-space ascent for K candidates in one
-  // tape per step (candidates converge and drop out individually). The
+  // stacked pass per step (candidates converge and drop out
+  // individually). The
   // per-candidate trajectories are identical to sequential Generate
   // calls. `inits` and `contexts` must have equal length; mixed host
   // counts are bucketed by H and each bucket runs as one stacked ascent.
@@ -155,10 +166,25 @@ class GonModel {
   // [K x 1] per-state scores.
   nn::Value ForwardBatch(nn::Tape& tape, nn::Value m,
                          std::span<const EncodedState* const> ctxs);
-  // Tape-free stacked forward used by DiscriminateBatch.
+  // Writes the [M_i, S_i] encoder rows and [M_i[:, :4], roles_i] GAT
+  // rows of states [i0, i1) into the workspace stacks (sized by the
+  // caller).
+  void StackInputs(std::span<const nn::Matrix* const> ms,
+                   std::span<const EncodedState* const> ctxs, std::size_t i0,
+                   std::size_t i1);
+  // Tape-free stacked forward used by DiscriminateBatch and the final
+  // GenerateBatch confidence pass; `edges` holds the states' attention
+  // edges.
   void ForwardInferenceBatch(std::span<const nn::Matrix* const> ms,
                              std::span<const EncodedState* const> ctxs,
+                             const nn::AttentionEdges& edges,
                              std::vector<double>& out);
+  // One Eq.-1 ascent evaluation: a hand-written forward and backward of
+  // sum_i log D(M_i, S_i, G_i) over the stacked states, leaving the
+  // scores D_i and grad_M in the workspace's ascent buffers.
+  void AscentGradient(std::span<const nn::Matrix* const> ms,
+                      std::span<const EncodedState* const> ctxs,
+                      const nn::AttentionEdges& edges);
   double TrainBatch(const std::vector<const EncodedState*>& batch);
   double TrainBatchSequential(const std::vector<const EncodedState*>& batch);
   // Stacks the given metric matrices into one [sum(H) x 9] tape leaf.
@@ -175,7 +201,7 @@ class GonModel {
   common::Rng rng_;
   std::unique_ptr<Network> net_impl_;
   std::unique_ptr<nn::Adam> optimizer_;
-  // Arena tape recycled across scoring/generation/training calls.
+  // Arena tape recycled across training calls.
   nn::Tape tape_;
   std::unique_ptr<InferenceWorkspace> inference_;
   // Worker pool for the threaded scoring path (attention_threads > 1).

@@ -219,42 +219,16 @@ Value Tape::Linear(Value x, Value w, Value b, FusedAct act) {
                 act, nodes_[self].value);
   return FinishNodeIL(self, {ix, iw, ibias}, [ix, iw, ibias, act](Tape& t, std::size_t s) {
         const Matrix& g = t.node(s).grad;
-        const Matrix& y = t.node(s).value;
         // dpre = g .* act'(y) — the activations used here are all
         // expressible from the output y.
         Matrix& dpre = t.Scratch();
         const Matrix* d = &g;
         if (act != FusedAct::kNone) {
-          dpre.Resize(y.rows(), y.cols());
-          const double* gp = g.flat().data();
-          const double* yp = y.flat().data();
-          double* dp = dpre.flat().data();
-          const std::size_t n = y.size();
-          switch (act) {
-            case FusedAct::kRelu:
-              for (std::size_t i = 0; i < n; ++i) {
-                dp[i] = yp[i] > 0.0 ? gp[i] : 0.0;
-              }
-              break;
-            case FusedAct::kSigmoid:
-              for (std::size_t i = 0; i < n; ++i) {
-                dp[i] = gp[i] * yp[i] * (1.0 - yp[i]);
-              }
-              break;
-            case FusedAct::kTanh:
-              for (std::size_t i = 0; i < n; ++i) {
-                dp[i] = gp[i] * (1.0 - yp[i] * yp[i]);
-              }
-              break;
-            case FusedAct::kNone:
-              break;
-          }
+          ActivationBackward(g, t.node(s).value, act, dpre);
           d = &dpre;
         }
         // dX += dpre * W^T via transpose + zero-skipping blocked kernel
         // (dpre inherits ReLU sparsity); dW += X^T * dpre skips X zeros.
-        // Frozen-parameter forwards (input-space ascent) skip dW and db
-        // entirely — the guard is the generation fast path.
         if (t.node(ix).requires_grad) {
           Matrix& wt = t.Scratch2();
           Matrix::TransposeInto(t.node(iw).value, wt);

@@ -71,6 +71,39 @@ inline void LinearForward(const Matrix& x, const Matrix& w, const Matrix& b,
   ApplyActivationInPlace(out, act);
 }
 
+// dpre = g .* act'(y), with act' written in terms of the activation's
+// OUTPUT y (every FusedAct allows that). The fused Linear tape op and the
+// tape-free input-gradient passes (Dense::BackwardInput) both call this,
+// so their backward expressions are the same by construction. kNone
+// copies g. `dpre` is reshaped in place and must not alias g or y.
+inline void ActivationBackward(const Matrix& g, const Matrix& y, FusedAct act,
+                               Matrix& dpre) {
+  dpre.Resize(y.rows(), y.cols());
+  const double* gp = g.flat().data();
+  const double* yp = y.flat().data();
+  double* dp = dpre.flat().data();
+  const std::size_t n = y.size();
+  switch (act) {
+    case FusedAct::kNone:
+      for (std::size_t i = 0; i < n; ++i) dp[i] = gp[i];
+      return;
+    case FusedAct::kRelu:
+      for (std::size_t i = 0; i < n; ++i) dp[i] = yp[i] > 0.0 ? gp[i] : 0.0;
+      return;
+    case FusedAct::kSigmoid:
+      for (std::size_t i = 0; i < n; ++i) {
+        dp[i] = gp[i] * yp[i] * (1.0 - yp[i]);
+      }
+      return;
+    case FusedAct::kTanh:
+      for (std::size_t i = 0; i < n; ++i) {
+        dp[i] = gp[i] * (1.0 - yp[i] * yp[i]);
+      }
+      return;
+  }
+  throw std::logic_error("ActivationBackward: unknown activation");
+}
+
 // Row-wise softmax restricted to positions where mask(r,c) == 1;
 // masked-out positions produce exactly 0. Rows with an empty mask produce
 // all zeros. `out` is reshaped in place.

@@ -1,5 +1,8 @@
 #include "nn/layers.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace carol::nn {
@@ -32,15 +35,10 @@ void Module::ClearBindings() {
   for (Module* child : Children()) child->ClearBindings();
 }
 
-void Module::SetFrozen(bool frozen) {
-  frozen_ = frozen;
-  for (Module* child : Children()) child->SetFrozen(frozen);
-}
-
 Value Module::Bind(Tape& tape, Parameter& param) {
   // LeafRef copies into the tape's recycled buffer (arena fast path).
-  Value leaf = tape.LeafRef(param.value, /*requires_grad=*/!frozen_);
-  if (!frozen_) bindings_.emplace_back(&param, leaf);
+  Value leaf = tape.LeafRef(param.value, /*requires_grad=*/true);
+  bindings_.emplace_back(&param, leaf);
   return leaf;
 }
 
@@ -101,6 +99,16 @@ void Dense::ForwardInference(const Matrix& x, Matrix& out) const {
   LinearForward(x, w_.value, b_.value, ToFusedAct(act_), out);
 }
 
+void Dense::BackwardInput(const Matrix& y, const Matrix& d_y, Matrix& d_pre,
+                          Matrix& w_t, Matrix& d_x) const {
+  // The fused Linear op's x gradient: dX (zeroed) += dpre * W^T through
+  // a materialized transpose, so the blocked kernel skips dpre's zeros.
+  ActivationBackward(d_y, y, ToFusedAct(act_), d_pre);
+  Matrix::TransposeInto(w_.value, w_t);
+  d_x.AssignZeros(d_pre.rows(), in_);
+  Matrix::MatMulAccum(d_pre, w_t, d_x);
+}
+
 Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
          std::string name, Activation output_act, Activation hidden_act) {
   if (dims.size() < 2) {
@@ -140,16 +148,81 @@ void Mlp::set_fused(bool fused) {
 }
 
 const Matrix& Mlp::ForwardInference(const Matrix& x,
-                                    std::array<Matrix, 2>& scratch) const {
+                                    std::vector<Matrix>& outs) const {
+  outs.resize(layers_.size());
   const Matrix* in = &x;
-  std::size_t which = 0;
-  for (const auto& layer : layers_) {
-    Matrix& out = scratch[which];
-    layer.ForwardInference(*in, out);
-    in = &out;
-    which ^= 1;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].ForwardInference(*in, outs[l]);
+    in = &outs[l];
   }
   return *in;
+}
+
+const Matrix& Mlp::BackwardInput(const std::vector<Matrix>& outs,
+                                 const Matrix& d_out,
+                                 GradScratch& ws) const {
+  if (outs.size() != layers_.size()) {
+    throw std::invalid_argument("Mlp::BackwardInput: outs/layers mismatch");
+  }
+  const Matrix* g = &d_out;
+  std::size_t which = 0;
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    Matrix& d_x = ws.d[which];
+    layers_[l].BackwardInput(outs[l], *g, ws.d_pre, ws.w_t, d_x);
+    g = &d_x;
+    which ^= 1;
+  }
+  return *g;
+}
+
+void AttentionEdges::Build(std::span<const Matrix* const> adjacencies) {
+  const std::size_t h =
+      adjacencies.empty() ? 0 : adjacencies.front()->rows();
+  for (const Matrix* adj : adjacencies) {
+    if (adj->rows() != h || adj->cols() != h) {
+      throw std::invalid_argument(
+          "AttentionEdges: adjacencies must share one H x H shape");
+    }
+  }
+  hosts_ = h;
+  states_ = adjacencies.size();
+  row_ptr_.resize(states_ * h + 1);
+  cols_.clear();
+  std::size_t r = 0;
+  for (const Matrix* adj : adjacencies) {
+    for (std::size_t i = 0; i < h; ++i, ++r) {
+      const double* arow = adj->flat().data() + i * h;
+      for (std::size_t j = 0; j < h; ++j) {
+        if (j == i || arow[j] != 0.0) {
+          cols_.push_back(static_cast<std::uint32_t>(j));
+        }
+      }
+      row_ptr_[r + 1] = cols_.size();
+    }
+  }
+}
+
+void AttentionEdges::Select(const AttentionEdges& all,
+                            std::span<const std::size_t> states) {
+  const std::size_t h = all.hosts_;
+  hosts_ = h;
+  states_ = states.size();
+  row_ptr_.resize(states_ * h + 1);
+  cols_.clear();
+  std::size_t r = 0;
+  for (const std::size_t s : states) {
+    if (s >= all.states_) {
+      throw std::out_of_range("AttentionEdges::Select: state out of range");
+    }
+    for (std::size_t i = s * h; i < (s + 1) * h; ++i, ++r) {
+      cols_.insert(cols_.end(),
+                   all.cols_.begin() +
+                       static_cast<std::ptrdiff_t>(all.row_ptr_[i]),
+                   all.cols_.begin() +
+                       static_cast<std::ptrdiff_t>(all.row_ptr_[i + 1]));
+      row_ptr_[r + 1] = cols_.size();
+    }
+  }
 }
 
 GraphAttention::GraphAttention(std::size_t in, std::size_t out,
@@ -227,69 +300,212 @@ Value GraphAttention::ForwardBatch(
   return k == 1 ? parts.front() : tape.StackRows(parts);
 }
 
-void GraphAttention::ForwardInferenceBatch(
-    const Matrix& u, std::span<const Matrix* const> adjacencies,
-    InferenceScratch& ws, Matrix& out, WorkerPool* pool) const {
-  if (adjacencies.empty()) {
+void GraphAttention::ForwardSparse(const Matrix& u,
+                                   const AttentionEdges& edges,
+                                   std::size_t first_state,
+                                   Activations& act) const {
+  const std::size_t h = edges.hosts();
+  const std::size_t n = h == 0 ? 0 : u.rows() / h;
+  if (u.cols() != in_ || u.rows() != n * h ||
+      first_state + n > edges.states()) {
+    throw std::invalid_argument(
+        "GraphAttention::ForwardSparse: u must be [N*H x in] over states "
+        "of the edge list");
+  }
+  const std::size_t g = out_;
+  LinearForward(u, w_.value, b_.value, FusedAct::kTanh, act.hidden);
+  Matrix::MatMulInto(act.hidden, wq_.value, act.query);
+
+  const std::span<const std::size_t> row_ptr = edges.row_ptr();
+  const std::span<const std::uint32_t> cols = edges.cols();
+  const std::size_t row0 = first_state * h;
+  const std::size_t e0 = row_ptr[row0];
+  act.attn.resize(row_ptr[row0 + n * h] - e0);
+  act.out.AssignZeros(n * h, g);
+  const double* hid = act.hidden.flat().data();
+  const double* q = act.query.flat().data();
+  double* out = act.out.flat().data();
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* hid_s = hid + s * h * g;
+    for (std::size_t r = s * h; r < (s + 1) * h; ++r) {
+      const std::size_t eb = row_ptr[row0 + r], ee = row_ptr[row0 + r + 1];
+      const std::uint32_t* col = cols.data() + eb;
+      double* a = act.attn.data() + (eb - e0);
+      const std::size_t deg = ee - eb;
+      // Scores: each is the ascending-k dot product of the blocked
+      // MatMul(q_s, hid_s^T), including its skip of zero q entries; the
+      // running max follows the dense softmax's column order.
+      const double* qrow = q + r * g;
+      double mx = -std::numeric_limits<double>::infinity();
+      for (std::size_t e = 0; e < deg; ++e) {
+        const double* hrow = hid_s + col[e] * g;
+        double acc = 0.0;
+        for (std::size_t kk = 0; kk < g; ++kk) {
+          const double qk = qrow[kk];
+          if (qk == 0.0) continue;
+          acc += qk * hrow[kk];
+        }
+        a[e] = acc;
+        mx = std::max(mx, acc);
+      }
+      if (!std::isfinite(mx)) {  // MaskedRowSoftmaxForward's zero row
+        std::fill(a, a + deg, 0.0);
+        continue;
+      }
+      double denom = 0.0;
+      for (std::size_t e = 0; e < deg; ++e) {
+        a[e] = std::exp(a[e] - mx);
+        denom += a[e];
+      }
+      for (std::size_t e = 0; e < deg; ++e) a[e] /= denom;
+      // Aggregation: MatMul(attn, hid_s) skips exact-zero weights, which
+      // includes weights that underflowed.
+      double* orow = out + r * g;
+      for (std::size_t e = 0; e < deg; ++e) {
+        const double w = a[e];
+        if (w == 0.0) continue;
+        const double* hrow = hid_s + col[e] * g;
+        for (std::size_t j = 0; j < g; ++j) orow[j] += w * hrow[j];
+      }
+    }
+  }
+  ApplyActivationInPlace(act.out, FusedAct::kSigmoid);
+}
+
+void GraphAttention::BackwardInput(const AttentionEdges& edges,
+                                   const Activations& act,
+                                   const Matrix& d_out, GradScratch& ws,
+                                   Matrix& d_u) const {
+  const std::size_t h = edges.hosts();
+  const std::size_t k = edges.states();
+  const std::size_t g = out_;
+  if (act.out.rows() != k * h || d_out.rows() != k * h ||
+      d_out.cols() != g || act.attn.size() != edges.cols().size()) {
+    throw std::invalid_argument(
+        "GraphAttention::BackwardInput: activations do not match the edges");
+  }
+  const std::span<const std::size_t> row_ptr = edges.row_ptr();
+  const std::span<const std::uint32_t> cols = edges.cols();
+  const double* hid = act.hidden.flat().data();
+  const double* q = act.query.flat().data();
+  const double* attn = act.attn.data();
+
+  // The tape sweeps ForwardBatch's nodes in reverse: per state (last
+  // first) Sigmoid, MatMul(attn, hid_s), MaskedRowSoftmax,
+  // MatMul(q_s, hid_s^T), Transpose, the two SliceRows; then the shared
+  // query MatMul and LinearTanh. States write disjoint rows, so only the
+  // order within a state matters, and it is reproduced below.
+  ActivationBackward(d_out, act.out, FusedAct::kSigmoid, ws.d_agg);
+  ws.d_hidden.AssignZeros(k * h, g);
+  ws.d_query.AssignZeros(k * h, g);
+  ws.d_attn.resize(cols.size());
+  const double* d_agg = ws.d_agg.flat().data();
+  double* d_hidden = ws.d_hidden.flat().data();
+  double* d_query = ws.d_query.flat().data();
+  double* d_attn = ws.d_attn.data();
+  for (std::size_t s = 0; s < k; ++s) {
+    const std::size_t base = s * h;
+    // MatMul(attn, hid_s): d_attn = d_agg hid_s^T (skipping zero d_agg
+    // entries) and d_hid_s += attn^T d_agg (skipping zero weights), the
+    // latter accumulated over source rows in ascending order.
+    for (std::size_t r = base; r < base + h; ++r) {
+      const double* grow = d_agg + r * g;
+      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        const double* hrow = hid + (base + cols[e]) * g;
+        double acc = 0.0;
+        for (std::size_t kk = 0; kk < g; ++kk) {
+          if (grow[kk] == 0.0) continue;
+          acc += grow[kk] * hrow[kk];
+        }
+        d_attn[e] = acc;
+      }
+      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        const double w = attn[e];
+        if (w == 0.0) continue;
+        double* drow = d_hidden + (base + cols[e]) * g;
+        for (std::size_t j = 0; j < g; ++j) drow[j] += w * grow[j];
+      }
+    }
+    // MaskedRowSoftmax: d_scores = y .* (d_attn - <d_attn, y>), in place.
+    for (std::size_t r = base; r < base + h; ++r) {
+      double dot = 0.0;
+      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        dot += d_attn[e] * attn[e];
+      }
+      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        d_attn[e] = attn[e] * (d_attn[e] - dot);
+      }
+    }
+    // MatMul(q_s, hid_s^T): d_q_s = d_scores hid_s (skipping zero
+    // d_scores), and the transposed operand's gradient q_s^T d_scores
+    // (skipping zero q entries) forms in its own buffer before the
+    // Transpose node adds it onto d_hid_s.
+    ws.d_hid_t.AssignZeros(h, g);
+    double* d_hid_t = ws.d_hid_t.flat().data();
+    for (std::size_t r = base; r < base + h; ++r) {
+      const double* qrow = q + r * g;
+      double* dqrow = d_query + r * g;
+      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+        const double ds = d_attn[e];
+        if (ds != 0.0) {
+          const double* hrow = hid + (base + cols[e]) * g;
+          for (std::size_t j = 0; j < g; ++j) dqrow[j] += ds * hrow[j];
+        }
+        double* trow = d_hid_t + cols[e] * g;
+        for (std::size_t t = 0; t < g; ++t) {
+          if (qrow[t] == 0.0) continue;
+          trow[t] += qrow[t] * ds;
+        }
+      }
+    }
+    double* dh_s = d_hidden + base * g;
+    for (std::size_t i = 0; i < h * g; ++i) dh_s[i] += d_hid_t[i];
+  }
+  // query = hidden Wq: its gradient lands on top of the slice gradients.
+  Matrix::TransposeInto(wq_.value, ws.w_t);
+  Matrix::MatMulAccum(ws.d_query, ws.w_t, ws.d_hidden);
+  // hidden = tanh(u W + b): the fused Linear op's x gradient.
+  ActivationBackward(ws.d_hidden, act.hidden, FusedAct::kTanh, ws.d_pre);
+  Matrix::TransposeInto(w_.value, ws.w_t);
+  d_u.AssignZeros(k * h, in_);
+  Matrix::MatMulAccum(ws.d_pre, ws.w_t, d_u);
+}
+
+void GraphAttention::ForwardInferenceBatch(const Matrix& u,
+                                           const AttentionEdges& edges,
+                                           InferenceScratch& ws, Matrix& out,
+                                           WorkerPool* pool) const {
+  const std::size_t h = edges.hosts();
+  const std::size_t k = edges.states();
+  if (k == 0) {
     throw std::invalid_argument(
         "GraphAttention::ForwardInferenceBatch: empty batch");
   }
-  const std::size_t h = adjacencies.front()->rows();
-  const std::size_t k = adjacencies.size();
   if (u.rows() != k * h || u.cols() != in_) {
     throw std::invalid_argument(
         "GraphAttention::ForwardInferenceBatch: u must be [K*H x in]");
   }
-  out.Resize(k * h, out_);
-
-  // The O(H^2) attention block of state s only reads that state's row
-  // block [s*H, (s+1)*H) and writes the matching rows of `out`, so the
-  // K states fan out across threads. The shared tanh/query projections
-  // are row-partitioned along the same state blocks: the blocked MatMul
-  // kernel accumulates each output row independently of which rows share
-  // the call, so the per-block projections are bit-identical to the one
-  // stacked kernel of the sequential path.
-  auto run_block = [&](std::size_t s0, std::size_t s1,
-                       InferenceScratch::Slot& slot, const Matrix& hidden,
-                       const Matrix& query, std::size_t row_base) {
-    for (std::size_t s = s0; s < s1; ++s) {
-      slot.mask.CopyFrom(*adjacencies[s]);
-      for (std::size_t i = 0; i < h; ++i) slot.mask(i, i) = 1.0;  // self-loops
-      const std::size_t local = s * h - row_base;
-      slot.hid_s.CopyRowsFrom(hidden, local, local + h);
-      slot.q_s.CopyRowsFrom(query, local, local + h);
-      // Same transpose + blocked-product kernels as the tape path, so the
-      // scores match the tape ops bit for bit.
-      Matrix::TransposeInto(slot.hid_s, slot.ht_s);
-      Matrix::MatMulInto(slot.q_s, slot.ht_s, slot.scores);
-      MaskedRowSoftmaxForward(slot.scores, slot.mask, slot.attn);
-      Matrix::MatMulInto(slot.attn, slot.hid_s, slot.e_s);
-      ApplyActivationInPlace(slot.e_s, FusedAct::kSigmoid);
-      std::copy(
-          slot.e_s.flat().begin(), slot.e_s.flat().end(),
-          out.flat().begin() + static_cast<std::ptrdiff_t>(s * h * out_));
-    }
-  };
-
   if (pool != nullptr && pool->thread_count() > 1 && k > 1) {
+    // A block of states reads only its own rows of u and edges and
+    // writes only its own rows of `out`. The blocked MatMul kernel
+    // accumulates each output row independently of which rows share the
+    // call, so the block's projections equal the stacked ones bit for
+    // bit.
     ws.EnsureSlots(static_cast<std::size_t>(pool->thread_count()));
+    out.Resize(k * h, out_);
     pool->ParallelFor(k, [&](std::size_t s0, std::size_t s1, int t) {
       InferenceScratch::Slot& slot = ws.slots[static_cast<std::size_t>(t)];
-      // Per-block shared projections over this thread's state rows.
       slot.u_s.CopyRowsFrom(u, s0 * h, s1 * h);
-      LinearForward(slot.u_s, w_.value, b_.value, FusedAct::kTanh,
-                    slot.hidden);
-      Matrix::MatMulInto(slot.hidden, wq_.value, slot.query);
-      run_block(s0, s1, slot, slot.hidden, slot.query, s0 * h);
+      ForwardSparse(slot.u_s, edges, s0, slot.act);
+      std::copy(
+          slot.act.out.flat().begin(), slot.act.out.flat().end(),
+          out.flat().begin() + static_cast<std::ptrdiff_t>(s0 * h * out_));
     });
     return;
   }
-
   ws.EnsureSlots(1);
-  InferenceScratch::Slot& slot = ws.slots.front();
-  LinearForward(u, w_.value, b_.value, FusedAct::kTanh, slot.hidden);
-  Matrix::MatMulInto(slot.hidden, wq_.value, slot.query);
-  run_block(0, k, slot, slot.hidden, slot.query, 0);
+  ForwardSparse(u, edges, 0, ws.slots.front().act);
+  out.CopyFrom(ws.slots.front().act.out);
 }
 
 std::vector<Parameter*> GraphAttention::Parameters() {

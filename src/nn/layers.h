@@ -6,6 +6,7 @@
 #define CAROL_NN_LAYERS_H_
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -63,21 +64,14 @@ class Module {
   // Must be called whenever a new tape is started (bindings reference the
   // previous tape's nodes). Recursive.
   void ClearBindings();
-  // Frozen modules bind parameters as constants (no gradient, no
-  // binding record): forward passes whose backward only needs input
-  // gradients — the GON input-space ascent — skip every dW/db
-  // accumulation. Recursive over the module tree.
-  void SetFrozen(bool frozen);
-  bool frozen() const { return frozen_; }
 
  protected:
   // Binds `param` as a requires-grad leaf on `tape` and records the
-  // binding for CollectGrads (constant leaf, no record, when frozen).
+  // binding for CollectGrads.
   Value Bind(Tape& tape, Parameter& param);
 
  private:
   std::vector<std::pair<Parameter*, Value>> bindings_;
-  bool frozen_ = false;
 };
 
 enum class Activation { kNone, kRelu, kTanh, kSigmoid };
@@ -111,6 +105,12 @@ class Dense : public Module {
   // uses the same LinearForward kernel as the fused tape op, so the
   // values are identical to Forward's.
   void ForwardInference(const Matrix& x, Matrix& out) const;
+  // Input gradient of ForwardInference with the weights held constant:
+  // d_x = (d_y .* act'(y)) W^T for the layer output y. Same expressions
+  // and kernels as the fused Linear tape op's x gradient, so d_x equals
+  // it bit for bit. `d_pre` and `w_t` are scratch.
+  void BackwardInput(const Matrix& y, const Matrix& d_y, Matrix& d_pre,
+                     Matrix& w_t, Matrix& d_x) const;
 
  private:
   std::size_t in_;
@@ -136,14 +136,51 @@ class Mlp : public Module {
   // Propagates to every layer (bench A/B knob; fused is the default).
   void set_fused(bool fused);
 
-  // Tape-free forward for inference hot paths. `scratch` supplies two
-  // recycled ping-pong buffers (grown on demand); the returned reference
-  // points into `scratch` and stays valid until the next call.
+  // Tape-free forward for inference hot paths. outs[l] receives layer
+  // l's output (recycled buffers, kept for BackwardInput); returns
+  // outs.back(), the network's output.
   const Matrix& ForwardInference(const Matrix& x,
-                                 std::array<Matrix, 2>& scratch) const;
+                                 std::vector<Matrix>& outs) const;
+  struct GradScratch {
+    Matrix d_pre, w_t;
+    std::array<Matrix, 2> d;
+  };
+  // Input gradient of ForwardInference (weights held constant) for the
+  // output gradient `d_out`, layer by layer through
+  // Dense::BackwardInput. The returned reference points into `ws` and
+  // stays valid until its next use.
+  const Matrix& BackwardInput(const std::vector<Matrix>& outs,
+                              const Matrix& d_out, GradScratch& ws) const;
 
  private:
   std::vector<Dense> layers_;
+};
+
+// Attention neighbourhoods of K stacked H-host states in compressed
+// sparse row (CSR) form. Stacked row r = s*H + i lists, in ascending
+// order, the columns j of state s (local to the state) with
+// adjacency_s(i, j) != 0, plus the self-loop j == i: exactly the
+// positions the dense masked softmax admits. A broker topology has
+// B(B-1) + 2(H-B) + H of them, 2.6% of H x H at H=128 with 8 brokers.
+class AttentionEdges {
+ public:
+  // Rebuilds from K dense adjacencies; throws std::invalid_argument
+  // unless they all share one H x H shape.
+  void Build(std::span<const Matrix* const> adjacencies);
+  // Rebuilds as the sub-stack of `all`'s states listed in `states`.
+  void Select(const AttentionEdges& all, std::span<const std::size_t> states);
+
+  std::size_t hosts() const { return hosts_; }
+  std::size_t states() const { return states_; }
+  // Edges of stacked row r are [row_ptr()[r], row_ptr()[r + 1]).
+  std::span<const std::size_t> row_ptr() const { return row_ptr_; }
+  std::span<const std::uint32_t> cols() const { return cols_; }
+
+ private:
+  std::size_t hosts_ = 0;
+  std::size_t states_ = 0;
+  std::vector<std::size_t> row_ptr_ = {0};
+  std::vector<std::uint32_t> cols_;
 };
 
 // Graph attention layer (Velickovic et al., Eq. (4) of the paper).
@@ -171,13 +208,44 @@ class GraphAttention : public Module {
   std::vector<Parameter*> Parameters() override;
   void set_fused(bool fused) { fused_ = fused; }
 
+  // Activations of one sparse forward over N stacked states, kept for
+  // BackwardInput. `attn` holds one softmax weight per edge, indexed
+  // from the block's first edge.
+  struct Activations {
+    Matrix hidden;             // tanh(u W + b)             [N*H x out]
+    Matrix query;              // hidden Wq                 [N*H x out]
+    std::vector<double> attn;  // a_ij, one per edge
+    Matrix out;                // sigma(sum_j a_ij h_j)     [N*H x out]
+  };
+  // Tape-free forward over the N = u.rows() / H stacked states whose
+  // edge lists are states [first_state, first_state + N) of `edges`.
+  // Scores, masked softmax and aggregation run over the edges only,
+  // with the arithmetic of the dense tape ops of ForwardBatch (see
+  // src/nn/README.md), so `act.out` equals ForwardBatch's output bit for
+  // bit.
+  void ForwardSparse(const Matrix& u, const AttentionEdges& edges,
+                     std::size_t first_state, Activations& act) const;
+
+  struct GradScratch {
+    Matrix d_agg, d_hidden, d_query, d_hid_t, d_pre, w_t;
+    std::vector<double> d_attn;
+  };
+  // Input gradient of ForwardSparse (weights held constant) over all of
+  // `edges`' states: d_u for the output gradient `d_out`. Each buffer
+  // accumulates in the reverse-node order of ForwardBatch's tape ops,
+  // so d_u equals the tape's u gradient bit for bit.
+  void BackwardInput(const AttentionEdges& edges, const Activations& act,
+                     const Matrix& d_out, GradScratch& ws,
+                     Matrix& d_u) const;
+
   // Recycled buffers for ForwardInferenceBatch. One Slot per pool thread
   // (slot 0 doubles as the sequential path's scratch); a Slot is only
   // ever touched by the thread whose index it carries, which is what
   // keeps the threaded path race-free without any per-state locking.
   struct InferenceScratch {
     struct Slot {
-      Matrix u_s, hidden, query, hid_s, ht_s, q_s, scores, mask, attn, e_s;
+      Matrix u_s;
+      Activations act;
     };
     std::vector<Slot> slots;
     // Grows (never shrinks) to at least `count` slots; existing slots
@@ -187,14 +255,13 @@ class GraphAttention : public Module {
       if (slots.size() < count) slots.resize(count);
     }
   };
-  // Tape-free batched forward mirroring ForwardBatch; writes the stacked
-  // embeddings [K*H x out] into `out`. Kernel-for-kernel identical to the
-  // tape path. With a `pool`, the K per-state attention blocks (and the
-  // shared projections, row-partitioned by state block) fan out across
-  // the pool's threads; results are bit-identical to the sequential path
-  // for any thread count (see src/nn/README.md).
-  void ForwardInferenceBatch(const Matrix& u,
-                             std::span<const Matrix* const> adjacencies,
+  // ForwardSparse over all of `edges`' states that writes only the
+  // stacked embeddings [K*H x out], into `out`.
+  // With a `pool`, contiguous blocks of states — their shared
+  // projections and their attention — fan out across the pool's
+  // threads; results are bit-identical to the sequential path for any
+  // thread count (see src/nn/README.md).
+  void ForwardInferenceBatch(const Matrix& u, const AttentionEdges& edges,
                              InferenceScratch& ws, Matrix& out,
                              WorkerPool* pool = nullptr) const;
 

@@ -23,29 +23,40 @@ void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
 // Blocked i-k-j product kernel: out += a * b over the flat row-major
 // buffers. k is consumed in index order within and across blocks, so the
 // per-element accumulation order — and therefore the floating-point
-// result — is identical to the unblocked i-k-j loop.
+// result — is identical to the unblocked i-k-j loop. Full kTileJ-column
+// tiles of an output row accumulate in a local array (registers) across
+// the k block instead of round-tripping through memory per k; the
+// per-element sequence of operations is unchanged.
 constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockJ = 256;
+constexpr std::size_t kTileJ = 16;
 
 void MatMulAccumImpl(const double* a, const double* b, double* out,
                      std::size_t m, std::size_t k, std::size_t n) {
+  const std::size_t tiled = n - n % kTileJ;
   for (std::size_t kb = 0; kb < k; kb += kBlockK) {
     const std::size_t kend = std::min(kb + kBlockK, k);
-    for (std::size_t jb = 0; jb < n; jb += kBlockJ) {
-      const std::size_t jend = std::min(jb + kBlockJ, n);
-      for (std::size_t i = 0; i < m; ++i) {
-        const double* arow = a + i * k;
-        double* orow = out + i * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* arow = a + i * k;
+      double* orow = out + i * n;
+      for (std::size_t jb = 0; jb < tiled; jb += kTileJ) {
+        double acc[kTileJ];
+        for (std::size_t j = 0; j < kTileJ; ++j) acc[j] = orow[jb + j];
         for (std::size_t kk = kb; kk < kend; ++kk) {
           const double aik = arow[kk];
           // ReLU activations make `a` ~half exact zeros on the GON hot
           // path; skipping preserves the result (modulo signed zeros).
           if (aik == 0.0) continue;
-          const double* brow = b + kk * n;
-          for (std::size_t j = jb; j < jend; ++j) {
-            orow[j] += aik * brow[j];
-          }
+          const double* brow = b + kk * n + jb;
+          for (std::size_t j = 0; j < kTileJ; ++j) acc[j] += aik * brow[j];
         }
+        for (std::size_t j = 0; j < kTileJ; ++j) orow[jb + j] = acc[j];
+      }
+      if (tiled == n) continue;
+      for (std::size_t kk = kb; kk < kend; ++kk) {
+        const double aik = arow[kk];
+        if (aik == 0.0) continue;
+        const double* brow = b + kk * n;
+        for (std::size_t j = tiled; j < n; ++j) orow[j] += aik * brow[j];
       }
     }
   }
@@ -108,14 +119,6 @@ Matrix Matrix::FromFlat(std::size_t rows, std::size_t cols,
   m.cols_ = cols;
   m.data_ = std::move(flat);
   return m;
-}
-
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  return data_[r * cols_ + c];
 }
 
 double& Matrix::at(std::size_t r, std::size_t c) {

@@ -51,8 +51,14 @@ class Matrix {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Inline: the tape ops and kernels index through these in their
+  // innermost loops.
+  double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * cols_ + c];
+  }
   double& at(std::size_t r, std::size_t c);
 
   std::span<double> flat() { return data_; }

@@ -1406,6 +1406,11 @@ core::EncodedState ReadEncodedState(common::BinaryReader& r) {
   state.s = ReadMatrix(r);
   state.roles = ReadMatrix(r);
   state.adjacency = ReadMatrix(r);
+  // Restored Gamma entries feed FineTune: reject shapes the GON would
+  // read out of bounds.
+  if (const std::string error = state.ShapeError(); !error.empty()) {
+    throw common::BinaryFormatError("encoded state: " + error);
+  }
   return state;
 }
 

@@ -1,6 +1,6 @@
 // Pins the threaded tape-free scoring path to the sequential one, bit
-// for bit: per-state GAT attention, row-partitioned shared projections
-// and per-chunk encoder/pooling must produce EXACTLY the sequential
+// for bit: per-state sparse GAT attention, row-partitioned shared
+// projections and per-chunk encoder/pooling must produce EXACTLY the sequential
 // results for any thread count (the pool partitions work, never the
 // arithmetic within a state). Also unit-tests the WorkerPool itself and
 // stresses it for the TSan CI job.
@@ -112,16 +112,18 @@ TEST(AttentionThreadingTest, GatForwardInferenceBatchBitIdentical) {
       }
       std::vector<const nn::Matrix*> adj_ptrs;
       for (const auto& a : adjs) adj_ptrs.push_back(&a);
+      nn::AttentionEdges edges;
+      edges.Build(adj_ptrs);
 
       nn::GraphAttention::InferenceScratch seq_ws;
       nn::Matrix expected;
-      gat.ForwardInferenceBatch(u, adj_ptrs, seq_ws, expected);
+      gat.ForwardInferenceBatch(u, edges, seq_ws, expected);
 
       for (int threads : {1, 2, 4}) {
         nn::WorkerPool pool(threads);
         nn::GraphAttention::InferenceScratch ws;
         nn::Matrix actual;
-        gat.ForwardInferenceBatch(u, adj_ptrs, ws, actual, &pool);
+        gat.ForwardInferenceBatch(u, edges, ws, actual, &pool);
         ASSERT_EQ(actual.rows(), expected.rows());
         ASSERT_EQ(actual.cols(), expected.cols());
         for (std::size_t i = 0; i < expected.flat().size(); ++i) {
@@ -210,7 +212,7 @@ TEST(AttentionThreadingTest, MixedHostCountBatchesStayBitIdentical) {
 }
 
 TEST(AttentionThreadingTest, GenerateBatchConfidencesBitIdentical) {
-  // The ascent itself is tape-based (sequential); the final stacked
+  // The ascent steps run on the calling thread; the final stacked
   // confidence pass threads. End-to-end generation results must match.
   core::FeatureEncoder encoder;
   core::GonModel sequential(TinyGonConfig(1));

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/encoder.h"
@@ -197,6 +201,83 @@ TEST(GonTest, HostCountAgnostic) {
     EXPECT_GT(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+// Runs `fn` and returns the std::invalid_argument message it throws
+// ("" if it throws nothing).
+template <typename Fn>
+std::string InvalidArgumentMessage(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GonTest, MisShapedStatesAreRejectedBeforeAnyBufferIsTouched) {
+  // Regression: an s with 8 rows under a 16-row m used to be read past
+  // its end by the stacking sweep (heap-buffer-overflow under ASan), and
+  // an adjacency smaller than H had its self-loops written past the
+  // copied mask. Every entry point now checks the shapes first.
+  GonModel gon(TinyConfig());
+  FeatureEncoder encoder;
+  const EncodedState good = encoder.Encode(MakeSnapshot(0.5, 4, 16));
+
+  EncodedState short_s = good;
+  short_s.s = nn::Matrix(8, FeatureEncoder::kSchedFeatures);
+  const std::vector<EncodedState> scored = {good, short_s};
+  const std::string msg = InvalidArgumentMessage([&] {
+    gon.DiscriminateBatch(std::span<const EncodedState>(scored));
+  });
+  EXPECT_NE(msg.find("state 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("s is 8x2, expected 16x2"), std::string::npos) << msg;
+
+  EncodedState small_adj = good;
+  small_adj.adjacency = nn::Matrix(8, 8);
+  const nn::Matrix* inits[] = {&good.m, &small_adj.m};
+  const EncodedState* ctxs[] = {&good, &small_adj};
+  EXPECT_NE(InvalidArgumentMessage([&] { gon.GenerateBatch(inits, ctxs); })
+                .find("state 1: adjacency is 8x8"),
+            std::string::npos);
+  EXPECT_NE(InvalidArgumentMessage([&] {
+              gon.Generate(small_adj.m, small_adj);
+            }).find("adjacency"),
+            std::string::npos);
+
+  EncodedState wide_roles = good;
+  wide_roles.roles = nn::Matrix(16, 3);
+  EXPECT_NE(InvalidArgumentMessage([&] {
+              gon.TrainEpoch({good, good, wide_roles});
+            }).find("roles is 16x3"),
+            std::string::npos);
+
+  EncodedState narrow_m = good;
+  narrow_m.m = nn::Matrix(16, 4);
+  EXPECT_NE(InvalidArgumentMessage([&] { gon.Discriminate(narrow_m); })
+                .find("m is 16x4, expected 16x9"),
+            std::string::npos);
+
+  // The model is still usable, and the good state scores as before.
+  const double score = gon.Discriminate(good);
+  EXPECT_GT(score, 0.0);
+  EXPECT_LT(score, 1.0);
+  EXPECT_TRUE(good.ShapeError().empty());
+}
+
+TEST(GonTest, HostlessStateScoresAndGenerates) {
+  // H = 0 is a consistent shape: scoring and the ascent must handle it
+  // (the mean-pools are empty, and the ascent stops on a zero gradient).
+  GonModel gon(TinyConfig());
+  EncodedState empty;
+  empty.m = nn::Matrix(0, FeatureEncoder::kMetricFeatures);
+  empty.s = nn::Matrix(0, FeatureEncoder::kSchedFeatures);
+  empty.roles = nn::Matrix(0, FeatureEncoder::kRoleFeatures);
+  const double score = gon.Discriminate(empty);
+  EXPECT_TRUE(std::isfinite(score));
+  const GenerationResult gen = gon.Generate(empty.m, empty);
+  EXPECT_EQ(gen.steps, 0);
+  EXPECT_EQ(gen.confidence, score);
 }
 
 }  // namespace

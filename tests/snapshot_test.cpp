@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -495,6 +496,51 @@ TEST(ServiceSnapshotTest, RestoreRejectsCorruptImage) {
   std::stringstream garbage(std::string("not a snapshot at all"),
                             std::ios::in | std::ios::binary);
   EXPECT_THROW(ResilienceService(cfg, garbage), common::BinaryFormatError);
+}
+
+TEST(ServiceSnapshotTest, RestoreRejectsInconsistentGammaShapes) {
+  // Restored Gamma entries feed FineTune, so a state whose matrices do
+  // not agree on H must fail the restore rather than reach the GON.
+  const ServiceConfig cfg = TinyServiceConfig(1);
+  ResilienceService service(cfg);
+  FederationSpec spec;
+  spec.carol = TinyCarolConfig();
+  spec.carol.policy = core::FineTunePolicy::kNever;
+  const SessionId id = service.OpenSession(spec);
+  DriveRange(service, id, 12, 3, 0, 2);  // healthy observations grow Gamma
+  service.BeginDrain();
+  service.WaitDrained();
+  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+  service.SaveSnapshot(image);
+  const std::string bytes = image.str();
+
+  // A Gamma entry's s matrix is serialized as u64 rows, u64 cols,
+  // u64 count, then the doubles. Relabel the first [12 x 2] one as
+  // [6 x 4]: same element count, so only the shape check can catch it.
+  const auto u64s = [](std::initializer_list<std::uint64_t> values) {
+    std::string out;
+    for (std::uint64_t v : values) {
+      for (int b = 0; b < 8; ++b) {
+        out.push_back(static_cast<char>(v >> (8 * b)));
+      }
+    }
+    return out;
+  };
+  const std::size_t at = bytes.find(u64s({12, 2, 24}));
+  ASSERT_NE(at, std::string::npos);
+  std::string corrupt = bytes;
+  corrupt.replace(at, 24, u64s({6, 4, 24}));
+
+  std::stringstream intact(bytes, std::ios::in | std::ios::binary);
+  EXPECT_NO_THROW(ResilienceService(cfg, intact));
+  std::stringstream relabeled(corrupt, std::ios::in | std::ios::binary);
+  try {
+    ResilienceService restored(cfg, relabeled);
+    FAIL() << "restore accepted an inconsistent Gamma entry";
+  } catch (const common::BinaryFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("encoded state"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
