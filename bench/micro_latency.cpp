@@ -27,6 +27,7 @@
 #include "core/tabu.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
+#include "nn/threading.h"
 #include "sim/topology.h"
 
 namespace {
@@ -241,9 +242,9 @@ void BenchGon() {
 }
 
 // Large federations (H >= 64): the decision path is dominated by the
-// O(H^2) per-state GAT attention, which the WorkerPool fans across the K
-// stacked states. Rows report the threaded batched scoring pass against
-// the sequential (1-thread) pass on the SAME inputs; values are
+// per-state GAT attention, which a width-T WorkerPool fans across the K
+// stacked states. Rows report the pooled batched scoring pass against
+// the sequential (no pool) pass on the SAME inputs; values are
 // bit-identical, only the wall clock moves. CI gates the H=128 T=4 row
 // at > 1.5x on 4+-core runners.
 void BenchGonLargeH() {
@@ -272,9 +273,8 @@ void BenchGonLargeH() {
     Report("gon_discriminate_batch_vs_fast", shape_base, seq_ns, fast_seq);
 
     for (int threads : {2, 4}) {
-      core::GonConfig cfg = BenchGonConfig(true);
-      cfg.attention_threads = threads;
-      core::GonModel threaded(cfg);
+      nn::WorkerPool pool(threads);
+      core::GonModel threaded(BenchGonConfig(true), &pool);
       const double thr_ns = TimeNs([&] {
         const auto scores = threaded.DiscriminateBatch(
             std::span<const core::EncodedState>(states));

@@ -6,7 +6,10 @@
 //   {"workers", "sessions", "hosts", "requests", "linger_us", "pipeline",
 //    "decisions_per_sec", "p50_ms", "p99_ms", "score_batches",
 //    "stacked_jobs", "pipeline_passes", "pipeline_jobs",
-//    "pipeline_states", "stacking_ratio"}
+//    "pipeline_states", "stacking_ratio", "participants_per_call"}
+// participants_per_call is the mean fan-out of the service's compute
+// pool (ServiceStats::compute_participants / compute_calls): how many of
+// the num_workers compute slots a GON kernel call used on average.
 // Headline checks: multi-session decision throughput must scale with the
 // worker count, and the pipeline must stack concurrent sessions'
 // frontiers into shared kernel passes with ZERO linger (stacking_ratio =
@@ -74,7 +77,6 @@ struct SweepResult {
   int workers = 0;
   int sessions = 0;
   int hosts = kHosts;
-  int attention_threads = 1;
   int requests = 0;
   int linger_us = 0;
   bool pipeline = true;
@@ -87,18 +89,17 @@ struct SweepResult {
   std::uint64_t pipeline_jobs = 0;
   std::uint64_t pipeline_states = 0;
   double stacking_ratio = 0.0;
+  double participants_per_call = 0.0;
 };
 
 SweepResult RunSweep(int workers, int sessions, int requests_per_session,
-                     bool pipeline, int linger_us = 0, int hosts = kHosts,
-                     int attention_threads = 1) {
+                     bool pipeline, int linger_us = 0, int hosts = kHosts) {
   const int brokers = std::max(2, hosts / 4);
   serve::ServiceConfig cfg;
   cfg.gon = BenchCarolConfig(1).gon;
   cfg.num_workers = workers;
   cfg.pipeline = pipeline;
   cfg.batch_linger_us = linger_us;
-  cfg.attention_threads = attention_threads;
   cfg.observability = g_observability;
   serve::ResilienceService service(cfg);
 
@@ -140,7 +141,6 @@ SweepResult RunSweep(int workers, int sessions, int requests_per_session,
   result.workers = workers;
   result.sessions = sessions;
   result.hosts = hosts;
-  result.attention_threads = attention_threads;
   result.linger_us = linger_us;
   result.pipeline = pipeline;
   result.requests = sessions * requests_per_session;
@@ -161,6 +161,11 @@ SweepResult RunSweep(int workers, int sessions, int requests_per_session,
     result.stacking_ratio = static_cast<double>(stats.pipeline_jobs) /
                             static_cast<double>(stats.pipeline_passes);
   }
+  if (stats.compute_calls > 0) {
+    result.participants_per_call =
+        static_cast<double>(stats.compute_participants) /
+        static_cast<double>(stats.compute_calls);
+  }
   return result;
 }
 
@@ -180,11 +185,11 @@ int main() {
                   "pipeline mode stacks cross-session frontiers with zero "
                   "linger; observability ") +
       (g_observability ? "ON)" : "OFF)"));
-  std::printf("%-9s %-9s %-9s %-7s %-7s %-9s %-9s %-14s %-9s %-9s %-8s "
-              "%-8s %-8s\n",
-              "mode", "workers", "sessions", "hosts", "threads", "requests",
-              "linger", "decisions/sec", "p50(ms)", "p99(ms)", "passes",
-              "jobs", "stack");
+  std::printf("%-9s %-9s %-9s %-7s %-9s %-9s %-14s %-9s %-9s %-8s "
+              "%-8s %-8s %-8s\n",
+              "mode", "workers", "sessions", "hosts", "requests", "linger",
+              "decisions/sec", "p50(ms)", "p99(ms)", "passes", "jobs",
+              "stack", "fanout");
 
   const std::vector<int> worker_counts = fast ? std::vector<int>{1, 4}
                                               : std::vector<int>{1, 2, 4};
@@ -193,20 +198,19 @@ int main() {
   std::vector<SweepResult> results;
   auto run_cell = [&](int workers, int sessions, bool pipeline,
                       int linger_us, int hosts = 16,
-                      int attention_threads = 1,
                       int requests_override = 0) {
     const SweepResult r = RunSweep(
         workers, sessions,
         requests_override > 0 ? requests_override : requests_per_session,
-        pipeline, linger_us, hosts, attention_threads);
-    std::printf("%-9s %-9d %-9d %-7d %-7d %-9d %-9d %-14.1f %-9.2f %-9.2f "
-                "%-8llu %-8llu %-8.2f\n",
+        pipeline, linger_us, hosts);
+    std::printf("%-9s %-9d %-9d %-7d %-9d %-9d %-14.1f %-9.2f %-9.2f "
+                "%-8llu %-8llu %-8.2f %-8.2f\n",
                 r.pipeline ? "pipeline" : "legacy", r.workers, r.sessions,
-                r.hosts, r.attention_threads, r.requests, r.linger_us,
-                r.decisions_per_sec, r.p50_ms, r.p99_ms,
+                r.hosts, r.requests, r.linger_us, r.decisions_per_sec,
+                r.p50_ms, r.p99_ms,
                 static_cast<unsigned long long>(r.pipeline_passes),
                 static_cast<unsigned long long>(r.pipeline_jobs),
-                r.stacking_ratio);
+                r.stacking_ratio, r.participants_per_call);
     results.push_back(r);
   };
   // The default serving mode: step-driven pipeline, zero linger.
@@ -219,15 +223,17 @@ int main() {
   // never stacks) and throughput-oriented (linger window).
   run_cell(4, 8, /*pipeline=*/false, /*linger_us=*/0);
   run_cell(4, 8, /*pipeline=*/false, /*linger_us=*/200);
-  // Large federations (H in {64, 128}): the O(H^2) attention dominates,
-  // so each cell is run unthreaded and with a 4-thread per-replica
-  // attention pool — same decisions, different wall clock. Fewer
-  // requests per cell: one H=128 repair costs ~64x an H=16 one.
+  // Large federations (H in {64, 128}), 4 sessions over 1, 2 and 4
+  // workers: num_workers is the service's whole compute budget, so a
+  // busy worker's kernels fan out over whatever share the other workers
+  // leave idle (the fanout column) — same decisions, different wall
+  // clock. Fewer requests per cell: one H=128 repair costs ~64x an H=16
+  // one.
   const int large_requests = std::max(2, requests_per_session / 4);
   for (int hosts : {64, 128}) {
-    for (int attention_threads : {1, 4}) {
-      run_cell(/*workers=*/2, /*sessions=*/4, /*pipeline=*/true,
-               /*linger_us=*/0, hosts, attention_threads, large_requests);
+    for (int workers : {1, 2, 4}) {
+      run_cell(workers, /*sessions=*/4, /*pipeline=*/true, /*linger_us=*/0,
+               hosts, large_requests);
     }
   }
 
@@ -268,23 +274,22 @@ int main() {
     std::fprintf(
         out,
         "  {\"workers\": %d, \"sessions\": %d, \"hosts\": %d, "
-        "\"attention_threads\": %d, "
         "\"requests\": %d, \"linger_us\": %d, \"pipeline\": %s, "
         "\"decisions_per_sec\": %.3f, "
         "\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
         "\"score_batches\": %llu, \"stacked_jobs\": %llu, "
         "\"pipeline_passes\": %llu, \"pipeline_jobs\": %llu, "
         "\"pipeline_states\": %llu, \"stacking_ratio\": %.3f, "
-        "\"observability\": %s}%s\n",
-        r.workers, r.sessions, r.hosts, r.attention_threads, r.requests,
-        r.linger_us,
+        "\"participants_per_call\": %.3f, \"observability\": %s}%s\n",
+        r.workers, r.sessions, r.hosts, r.requests, r.linger_us,
         r.pipeline ? "true" : "false", r.decisions_per_sec, r.p50_ms,
         r.p99_ms, static_cast<unsigned long long>(r.score_batches),
         static_cast<unsigned long long>(r.stacked_jobs),
         static_cast<unsigned long long>(r.pipeline_passes),
         static_cast<unsigned long long>(r.pipeline_jobs),
         static_cast<unsigned long long>(r.pipeline_states),
-        r.stacking_ratio, g_observability ? "true" : "false",
+        r.stacking_ratio, r.participants_per_call,
+        g_observability ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "]\n");

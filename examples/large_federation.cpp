@@ -1,13 +1,14 @@
 // Scenario: LARGE federations — two 64-host edge federations (16 LEIs
 // each, tiled Raspberry-Pi sites from sim::ScaledTestbedSpecs) served
-// concurrently by one ResilienceService with per-replica attention
-// threading.
+// concurrently by one ResilienceService whose workers share one compute
+// pool.
 //
 // What this demonstrates (and what CI smoke-checks):
-//   * the repair hot path scales to H >= 64: the O(H^2) per-state GAT
-//     attention fans out across a per-replica worker pool
-//     (ServiceConfig::attention_threads) while decisions stay
-//     bit-identical to the sequential path;
+//   * the repair hot path scales to H >= 64: a busy worker's scoring
+//     passes and Eq.-1 ascent chunks fan out over the compute budget the
+//     other workers leave idle (one nn::WorkerPool of width
+//     ServiceConfig::num_workers) while decisions stay bit-identical to
+//     the sequential path;
 //   * tabu candidate filtering uses the incremental Topology::Hash —
 //     no per-candidate O(H) rehash anywhere in the search;
 //   * the final per-decision confidence calls stack into the same flush
@@ -27,7 +28,7 @@
 int main() {
   using namespace carol;
   std::printf("== large federations: two 64-host fleets, one service, "
-              "threaded attention ==\n\n");
+              "shared compute pool ==\n\n");
 
   // Trimmed surrogate + search budgets: H=64 repairs score frontiers of
   // ~60 candidates per tabu round, each candidate a 64x9 generation.
@@ -42,11 +43,10 @@ int main() {
 
   serve::ServiceConfig service_cfg;
   service_cfg.gon = base.gon;
-  service_cfg.num_workers = 2;
-  // Per-replica attention threading: each worker's GON fans the
-  // per-state attention of its stacked passes across 2 threads
-  // (2 workers x 2 threads sizes the product to a 4-core box).
-  service_cfg.attention_threads = 2;
+  // The service's compute budget: 4 threads in total, so a worker's GON
+  // kernels fan out over whichever of the other 3 are idle (sized to a
+  // 4-core box).
+  service_cfg.num_workers = 4;
   // Backpressure: never hold more than 64 admitted repairs.
   service_cfg.max_pending_requests = 64;
   serve::ResilienceService service(service_cfg);
@@ -107,6 +107,14 @@ int main() {
               "kernel calls)\n",
               static_cast<unsigned long long>(stats.confidence_jobs),
               static_cast<unsigned long long>(stats.confidence_passes));
+  if (stats.compute_calls > 0) {
+    std::printf("compute pool: %.2f participants per kernel call over "
+                "%llu calls (at most %d)\n",
+                static_cast<double>(stats.compute_participants) /
+                    static_cast<double>(stats.compute_calls),
+                static_cast<unsigned long long>(stats.compute_calls),
+                service_cfg.num_workers);
+  }
 
   if (stats.repairs == 0 || stats.confidence_jobs != stats.repairs) {
     std::printf("\nFAIL: confidence stacking accounting is off\n");
@@ -118,7 +126,7 @@ int main() {
   }
   std::printf("\nexpected: both 64-host fleets finish with valid "
               "topologies and bounded decision latency; decisions are "
-              "bit-identical to the unthreaded path (attention threading "
+              "bit-identical to the unthreaded path (the compute pool "
               "partitions work, never arithmetic).\n");
   return 0;
 }

@@ -59,6 +59,27 @@ struct GonModel::Network : nn::Module {
   }
 };
 
+// Eq.-1 ascent buffers of one pool slot: a chunk's candidates, their
+// stacked inputs and attention edges, and the forward activations kept
+// for the backward sweep.
+struct GonModel::AscentSlot {
+  std::vector<const nn::Matrix*> ms;
+  std::vector<const EncodedState*> ctxs;
+  nn::AttentionEdges edges;      // the chunk's sub-stack of the call's edges
+  nn::Matrix ms_stack;           // [A*H x 11]
+  nn::Matrix u_stack;            // [A*H x 6]
+  nn::Matrix pooled;             // [A x hidden+gat]
+  std::vector<nn::Matrix> enc;   // encoder layer outputs
+  nn::GraphAttention::Activations gat;
+  std::vector<nn::Matrix> head;  // head layer outputs; back() is D
+  nn::Matrix d_score;            // d log D / d D            [A x 1]
+  nn::Matrix d_ems, d_eg;        // mean-pool input gradients
+  nn::Matrix d_u;                // GAT input gradient       [A*H x 6]
+  nn::Mlp::GradScratch enc_grad, head_grad;
+  nn::GraphAttention::GradScratch gat_grad;
+  nn::Matrix grad;               // grad_M sum log D         [A*H x 9]
+};
+
 // Recycled buffers for the tape-free scoring path, the hand-written
 // ascent and the stacked training tape builds; steady state is
 // allocation-free.
@@ -74,33 +95,22 @@ struct GonModel::InferenceWorkspace {
   nn::Matrix e_g;     // [K*H x gat_width]
   nn::Matrix pooled;  // [K x hidden+gat]
   nn::Matrix ones_stack;
-  // Attention edges of a DiscriminateBatch call / of all and of the
-  // still-active GenerateBatch candidates.
+  // Attention edges of all the states of a DiscriminateBatch or
+  // GenerateBatch call.
   nn::AttentionEdges edges;
-  nn::AttentionEdges active_edges;
   std::vector<const nn::Matrix*> adj_ptrs;
   std::vector<const nn::Matrix*> m_ptrs;
   std::vector<double> scores;
-  // Per-thread encoder scratch for the threaded scoring path: thread t
-  // owns chunk t (the pool hands each thread one contiguous state block,
-  // and only that thread ever touches its slot's buffers).
+  // Per-slot encoder scratch for the threaded scoring path: pool slot t
+  // owns enc_chunks[t] (only the participant holding slot t ever
+  // touches it; see nn/threading.h).
   struct EncoderChunk {
-    nn::Matrix in;  // this thread's [B*H x 11] row block
+    nn::Matrix in;  // this slot's [B*H x 11] row block
     std::vector<nn::Matrix> mlp;
   };
   std::vector<EncoderChunk> enc_chunks;
-  // Eq.-1 ascent: forward activations kept for the backward sweep.
-  struct Ascent {
-    std::vector<nn::Matrix> enc;   // encoder layer outputs
-    nn::GraphAttention::Activations gat;
-    std::vector<nn::Matrix> head;  // head layer outputs; back() is D
-    nn::Matrix d_score;            // d log D / d D            [A x 1]
-    nn::Matrix d_ems, d_eg;        // mean-pool input gradients
-    nn::Matrix d_u;                // GAT input gradient       [A*H x 6]
-    nn::Mlp::GradScratch enc_grad, head_grad;
-    nn::GraphAttention::GradScratch gat_grad;
-    nn::Matrix grad;               // grad_M sum log D         [A*H x 9]
-  } ascent;
+  // Eq.-1 ascent buffers, one per pool slot.
+  std::vector<AscentSlot> ascent;
 };
 
 namespace {
@@ -126,6 +136,32 @@ void PoolState(const nn::Matrix& e_ms, std::size_t ems_row,
   }
 }
 
+// Writes the [M_i, S_i] encoder rows and [M_i[:, :4], roles_i] GAT rows
+// of states [i0, i1) into rows [i0*H, i1*H) of the stacks (sized by the
+// caller).
+void StackInputs(std::span<const nn::Matrix* const> ms,
+                 std::span<const EncodedState* const> ctxs, std::size_t i0,
+                 std::size_t i1, nn::Matrix& ms_stack, nn::Matrix& u_stack) {
+  const std::size_t h = ctxs.front()->m.rows();
+  const std::size_t mc = FeatureEncoder::kMetricFeatures;
+  for (std::size_t i = i0; i < i1; ++i) {
+    const nn::Matrix& m = *ms[i];
+    const EncodedState& ctx = *ctxs[i];
+    for (std::size_t r = 0; r < h; ++r) {
+      auto mrow = m.row(r);
+      auto srow = ctx.s.row(r);
+      auto rrow = ctx.roles.row(r);
+      auto ms_row = ms_stack.row(i * h + r);
+      std::copy(mrow.begin(), mrow.end(), ms_row.begin());
+      std::copy(srow.begin(), srow.end(),
+                ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
+      auto u_row = u_stack.row(i * h + r);
+      std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
+      std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
+    }
+  }
+}
+
 // Rejects a state the stacked kernels would read out of bounds: every
 // state's s, roles and adjacency must match its metrics' host count.
 void CheckStates(std::span<const EncodedState* const> states,
@@ -143,16 +179,15 @@ void CheckStates(std::span<const EncodedState* const> states,
 
 GonModel::~GonModel() = default;
 
-GonModel::GonModel(const GonConfig& config)
-    : config_(config), rng_(config.seed) {
+GonModel::GonModel(const GonConfig& config, nn::WorkerPool* pool)
+    : config_(config),
+      rng_(config.seed),
+      pool_(pool != nullptr && pool->width() > 1 ? pool : nullptr) {
   net_impl_ = std::make_unique<Network>(config_, rng_);
   optimizer_ = std::make_unique<nn::Adam>(
       net().Parameters(), config_.train_lr, 0.9, 0.999, 1e-8,
       config_.weight_decay);
   inference_ = std::make_unique<InferenceWorkspace>();
-  if (config_.attention_threads > 1) {
-    pool_ = std::make_unique<nn::WorkerPool>(config_.attention_threads);
-  }
 }
 
 nn::Module& GonModel::network() { return *net_impl_; }
@@ -226,30 +261,6 @@ nn::Value GonModel::ForwardBatch(nn::Tape& tape, nn::Value m,
   return net.head.Forward(tape, pooled);  // [K x 1] scores (Eq. 5)
 }
 
-void GonModel::StackInputs(std::span<const nn::Matrix* const> ms,
-                           std::span<const EncodedState* const> ctxs,
-                           std::size_t i0, std::size_t i1) {
-  InferenceWorkspace& ws = *inference_;
-  const std::size_t h = ctxs.front()->m.rows();
-  const std::size_t mc = FeatureEncoder::kMetricFeatures;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const nn::Matrix& m = *ms[i];
-    const EncodedState& ctx = *ctxs[i];
-    for (std::size_t r = 0; r < h; ++r) {
-      auto mrow = m.row(r);
-      auto srow = ctx.s.row(r);
-      auto rrow = ctx.roles.row(r);
-      auto ms_row = ws.ms_stack.row(i * h + r);
-      std::copy(mrow.begin(), mrow.end(), ms_row.begin());
-      std::copy(srow.begin(), srow.end(),
-                ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
-      auto u_row = ws.u_stack.row(i * h + r);
-      std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
-      std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
-    }
-  }
-}
-
 void GonModel::ForwardInferenceBatch(
     std::span<const nn::Matrix* const> ms,
     std::span<const EncodedState* const> ctxs,
@@ -258,7 +269,7 @@ void GonModel::ForwardInferenceBatch(
   InferenceWorkspace& ws = *inference_;
   const std::size_t k = ctxs.size();
   const std::size_t h = ctxs.front()->m.rows();
-  nn::WorkerPool* pool = (pool_ && k > 1) ? pool_.get() : nullptr;
+  nn::WorkerPool* pool = k > 1 ? pool_ : nullptr;
 
   // Stack [M_i, S_i] rows and the GAT inputs in one sweep. Each state
   // owns its row block, so the sweep fans out across the pool.
@@ -266,19 +277,19 @@ void GonModel::ForwardInferenceBatch(
   ws.u_stack.Resize(k * h, kGatInputWidth);
   if (pool != nullptr) {
     pool->ParallelFor(k, [&](std::size_t i0, std::size_t i1, int) {
-      StackInputs(ms, ctxs, i0, i1);
+      StackInputs(ms, ctxs, i0, i1, ws.ms_stack, ws.u_stack);
     });
   } else {
-    StackInputs(ms, ctxs, 0, k);
+    StackInputs(ms, ctxs, 0, k, ws.ms_stack, ws.u_stack);
   }
 
   // GAT branch: shared projections row-partitioned by state block,
   // per-state sparse attention fanned across the pool (see layers.cpp).
   net.gat.ForwardInferenceBatch(ws.u_stack, edges, ws.gat, ws.e_g, pool);
 
-  // Encoder + per-state mean-pool. Threaded: each thread encodes its
-  // contiguous state chunk's rows and pools them straight into the
-  // (disjoint) pooled rows — the row-partitioned encoder equals the one
+  // Encoder + per-state mean-pool. Threaded: each participant encodes
+  // the rows of the contiguous state blocks it claims and pools them
+  // straight into the (disjoint) pooled rows — the row-partitioned encoder equals the one
   // stacked kernel of the sequential path bit for bit (see
   // src/nn/README.md).
   const std::size_t gw = ws.e_g.cols();
@@ -286,9 +297,8 @@ void GonModel::ForwardInferenceBatch(
   ws.pooled.Resize(k, hw + gw);
   double* pooled = ws.pooled.flat().data();
   if (pool != nullptr) {
-    if (ws.enc_chunks.size() <
-        static_cast<std::size_t>(pool->thread_count())) {
-      ws.enc_chunks.resize(static_cast<std::size_t>(pool->thread_count()));
+    if (ws.enc_chunks.size() < static_cast<std::size_t>(pool->width())) {
+      ws.enc_chunks.resize(static_cast<std::size_t>(pool->width()));
     }
     pool->ParallelFor(k, [&](std::size_t i0, std::size_t i1, int t) {
       InferenceWorkspace::EncoderChunk& chunk =
@@ -315,12 +325,11 @@ void GonModel::ForwardInferenceBatch(
   for (std::size_t i = 0; i < k; ++i) out[i] = scores(i, 0);
 }
 
-void GonModel::AscentGradient(std::span<const nn::Matrix* const> ms,
-                              std::span<const EncodedState* const> ctxs,
-                              const nn::AttentionEdges& edges) {
-  Network& net = *net_impl_;
-  InferenceWorkspace& ws = *inference_;
-  InferenceWorkspace::Ascent& as = ws.ascent;
+void GonModel::AscentGradient(AscentSlot& as) const {
+  const Network& net = *net_impl_;
+  const std::span<const nn::Matrix* const> ms(as.ms);
+  const std::span<const EncodedState* const> ctxs(as.ctxs);
+  const nn::AttentionEdges& edges = as.edges;
   const std::size_t k = ctxs.size();
   const std::size_t h = ctxs.front()->m.rows();
   const std::size_t hw = static_cast<std::size_t>(config_.hidden_width);
@@ -329,17 +338,17 @@ void GonModel::AscentGradient(std::span<const nn::Matrix* const> ms,
 
   // Forward (Eqs. 3-5) with the kernels of the scoring path, keeping
   // every activation the backward sweep reads.
-  ws.ms_stack.Resize(k * h, kMsInputWidth);
-  ws.u_stack.Resize(k * h, kGatInputWidth);
-  StackInputs(ms, ctxs, 0, k);
-  net.ms_encoder.ForwardInference(ws.ms_stack, as.enc);
-  net.gat.ForwardSparse(ws.u_stack, edges, 0, as.gat);
-  ws.pooled.Resize(k, hw + gw);
+  as.ms_stack.Resize(k * h, kMsInputWidth);
+  as.u_stack.Resize(k * h, kGatInputWidth);
+  StackInputs(ms, ctxs, 0, k, as.ms_stack, as.u_stack);
+  net.ms_encoder.ForwardInference(as.ms_stack, as.enc);
+  net.gat.ForwardSparse(as.u_stack, edges, 0, as.gat);
+  as.pooled.Resize(k, hw + gw);
   for (std::size_t i = 0; i < k; ++i) {
     PoolState(as.enc.back(), i * h, as.gat.out, i * h, h,
-              ws.pooled.flat().data() + i * (hw + gw));
+              as.pooled.flat().data() + i * (hw + gw));
   }
-  net.head.ForwardInference(ws.pooled, as.head);
+  net.head.ForwardInference(as.pooled, as.head);
   const nn::Matrix& d = as.head.back();
 
   // Backward of sum_i log D_i with respect to M only. Each step applies
@@ -569,8 +578,6 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
       kTotal, -std::numeric_limits<double>::infinity());
   std::vector<char> active(kTotal, 1);
   std::vector<std::size_t> act_idx;
-  std::vector<const nn::Matrix*> sub_m;
-  std::vector<const EncodedState*> sub_ctx;
   InferenceWorkspace& ws = *inference_;
   // The attention edges of every candidate, built once per call; each
   // ascent chunk runs on its candidates' sub-stack.
@@ -582,61 +589,77 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
 
   // Each global step advances every still-active candidate by exactly the
   // update sequential Generate would have applied at that step. The
-  // active candidates run in stacked chunks of about kAscentChunkRows
-  // host rows, so a chunk's activations stay cache-resident; the stacked
-  // forward/backward is row-block independent per candidate, so chunking
-  // changes no bit.
+  // active candidates run in stacked chunks, so a chunk's activations
+  // stay cache-resident, and the chunks fan out over the pool: each
+  // participant ascends the chunks it claims in its own slot's buffers
+  // and updates only those candidates' entries. The stacked
+  // forward/backward is row-block independent per candidate, so neither
+  // the chunking nor the participant changes a bit. A participant's chunk
+  // is kAscentChunkRows / width host rows, which keeps the working set of
+  // all slots together about one sequential chunk.
+  const int width = pool_ != nullptr ? pool_->width() : 1;
+  if (ws.ascent.size() < static_cast<std::size_t>(width)) {
+    ws.ascent.resize(static_cast<std::size_t>(width));
+  }
+  const std::size_t chunk_rows =
+      kAscentChunkRows / static_cast<std::size_t>(width);
   const std::size_t chunk =
-      h == 0 ? 1 : std::max<std::size_t>(1, kAscentChunkRows / h);
+      h == 0 ? 1 : std::max<std::size_t>(1, chunk_rows / h);
+  const nn::WorkerPool::Fn ascend = [&](std::size_t a0, std::size_t a1,
+                                        int slot) {
+    AscentSlot& as = ws.ascent[static_cast<std::size_t>(slot)];
+    const std::span<const std::size_t> ids(act_idx.data() + a0, a1 - a0);
+    as.ms.clear();
+    as.ctxs.clear();
+    for (const std::size_t i : ids) {
+      as.ms.push_back(&m_cur[i]);
+      as.ctxs.push_back(contexts[i]);
+    }
+    as.edges.Select(ws.edges, ids);
+    // Per-candidate gradient blocks of sum_i log D_i are exactly
+    // grad_M log D_i (the terms are independent).
+    AscentGradient(as);
+    const nn::Matrix& grad = as.grad;
+    const nn::Matrix& scores = as.head.back();
+
+    for (std::size_t a = 0; a < ids.size(); ++a) {
+      const std::size_t i = ids[a];
+      const double obj = std::log(std::max(scores(a, 0), nn::Tape::kLogEps));
+      const double* gp = grad.flat().data() + a * block;
+      double grad_scale = 0.0;
+      for (std::size_t j = 0; j < block; ++j) {
+        grad_scale = std::max(grad_scale, std::abs(gp[j]));
+      }
+      if (grad_scale < 1e-12) {
+        active[i] = 0;
+        continue;
+      }
+      bool moved = false;
+      double* mp = m_cur[i].flat().data();
+      for (std::size_t j = 0; j < block; ++j) {
+        const double delta = lr * gp[j] / grad_scale;
+        if (std::abs(delta) > 1e-9) moved = true;
+        mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
+      }
+      ++results[i].steps;
+      if (!moved || std::abs(obj - prev_obj[i]) < config_.generation_tol) {
+        active[i] = 0;
+        continue;
+      }
+      prev_obj[i] = obj;
+    }
+  };
   for (int step = 0; step < config_.generation_steps; ++step) {
     act_idx.clear();
     for (std::size_t i = 0; i < kTotal; ++i) {
       if (active[i]) act_idx.push_back(i);
     }
     if (act_idx.empty()) break;
-    for (std::size_t a0 = 0; a0 < act_idx.size(); a0 += chunk) {
-      const std::span<const std::size_t> ids(
-          act_idx.data() + a0, std::min(chunk, act_idx.size() - a0));
-      sub_m.clear();
-      sub_ctx.clear();
-      for (const std::size_t i : ids) {
-        sub_m.push_back(&m_cur[i]);
-        sub_ctx.push_back(contexts[i]);
-      }
-      ws.active_edges.Select(ws.edges, ids);
-      // Per-candidate gradient blocks of sum_i log D_i are exactly
-      // grad_M log D_i (the terms are independent).
-      AscentGradient(sub_m, sub_ctx, ws.active_edges);
-      const nn::Matrix& grad = ws.ascent.grad;
-      const nn::Matrix& scores = ws.ascent.head.back();
-
-      for (std::size_t a = 0; a < ids.size(); ++a) {
-        const std::size_t i = ids[a];
-        const double obj =
-            std::log(std::max(scores(a, 0), nn::Tape::kLogEps));
-        const double* gp = grad.flat().data() + a * block;
-        double grad_scale = 0.0;
-        for (std::size_t j = 0; j < block; ++j) {
-          grad_scale = std::max(grad_scale, std::abs(gp[j]));
-        }
-        if (grad_scale < 1e-12) {
-          active[i] = 0;
-          continue;
-        }
-        bool moved = false;
-        double* mp = m_cur[i].flat().data();
-        for (std::size_t j = 0; j < block; ++j) {
-          const double delta = lr * gp[j] / grad_scale;
-          if (std::abs(delta) > 1e-9) moved = true;
-          mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
-        }
-        ++results[i].steps;
-        if (!moved ||
-            std::abs(obj - prev_obj[i]) < config_.generation_tol) {
-          active[i] = 0;
-          continue;
-        }
-        prev_obj[i] = obj;
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(act_idx.size(), chunk, ascend);
+    } else {
+      for (std::size_t a0 = 0; a0 < act_idx.size(); a0 += chunk) {
+        ascend(a0, std::min(act_idx.size(), a0 + chunk), 0);
       }
     }
   }

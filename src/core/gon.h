@@ -28,8 +28,16 @@
 // the sequential ones exactly; and every sparse kernel repeats the
 // arithmetic of the dense tape ops in the same order (src/nn/README.md),
 // so the decisions are bit-identical to the tape path's. The arena tape
-// is used for training only. Not thread-safe: use one GonModel per
-// thread.
+// is used for training only.
+//
+// Threading: a GonModel may be handed a shared, non-owned
+// nn::WorkerPool. The batched scoring pass then fans its states out
+// over the pool, and every Eq.-1 ascent step fans its candidate chunks
+// out, each participant in its own slot's buffers. Results are
+// bit-identical for any pool width and any claim order (src/nn/README.md
+// "Threaded batched inference"). The model itself is not thread-safe:
+// one thread drives it at a time, but any number of models may share
+// one pool.
 #ifndef CAROL_CORE_GON_H_
 #define CAROL_CORE_GON_H_
 
@@ -73,15 +81,6 @@ struct GonConfig {
   // unfused three-node dense layers, per-sample training graphs). The
   // two paths compute the same values; benches measure the gap.
   bool use_fast_path = true;
-  // Threads for the batched scoring pass (DiscriminateBatch / the final
-  // GenerateBatch confidence pass): the K stacked states fan out across
-  // a small reusable worker pool — stacking, GAT projections and sparse
-  // attention, encoder rows and pooling. Results are bit-identical to
-  // the sequential path for any value (pinned by
-  // tests/attention_threading_test.cpp and tests/gon_ascent_test.cpp).
-  // 1 = sequential, no pool is created. The Eq.-1 ascent steps run on
-  // the calling thread.
-  int attention_threads = 1;
 };
 
 struct GenerationResult {
@@ -98,7 +97,12 @@ struct EpochStats {
 
 class GonModel {
  public:
-  explicit GonModel(const GonConfig& config);
+  // `pool`, when given, must outlive the model; the model fans its
+  // scoring passes and ascent steps out over it (see the header
+  // comment). Without one — or with a width-1 pool — it runs
+  // sequentially on the calling thread.
+  explicit GonModel(const GonConfig& config,
+                    nn::WorkerPool* pool = nullptr);
   ~GonModel();  // out-of-line: Network is an incomplete type here
 
   // Likelihood score D(M,S,G) in (0,1) for an encoded tuple.
@@ -158,6 +162,7 @@ class GonModel {
  private:
   struct Network;
   struct InferenceWorkspace;
+  struct AscentSlot;
 
   // Builds the discriminator graph on `tape` for one state; m may be a
   // requires-grad leaf (generation) or constant (scoring).
@@ -166,12 +171,6 @@ class GonModel {
   // [K x 1] per-state scores.
   nn::Value ForwardBatch(nn::Tape& tape, nn::Value m,
                          std::span<const EncodedState* const> ctxs);
-  // Writes the [M_i, S_i] encoder rows and [M_i[:, :4], roles_i] GAT
-  // rows of states [i0, i1) into the workspace stacks (sized by the
-  // caller).
-  void StackInputs(std::span<const nn::Matrix* const> ms,
-                   std::span<const EncodedState* const> ctxs, std::size_t i0,
-                   std::size_t i1);
   // Tape-free stacked forward used by DiscriminateBatch and the final
   // GenerateBatch confidence pass; `edges` holds the states' attention
   // edges.
@@ -179,12 +178,12 @@ class GonModel {
                              std::span<const EncodedState* const> ctxs,
                              const nn::AttentionEdges& edges,
                              std::vector<double>& out);
-  // One Eq.-1 ascent evaluation: a hand-written forward and backward of
-  // sum_i log D(M_i, S_i, G_i) over the stacked states, leaving the
-  // scores D_i and grad_M in the workspace's ascent buffers.
-  void AscentGradient(std::span<const nn::Matrix* const> ms,
-                      std::span<const EncodedState* const> ctxs,
-                      const nn::AttentionEdges& edges);
+  // One Eq.-1 ascent evaluation for the chunk staged in `as` (its
+  // metrics, contexts and attention edges): a hand-written forward and
+  // backward of sum_i log D(M_i, S_i, G_i) over the stacked states,
+  // leaving the scores D_i and grad_M in `as`. Reads the weights only,
+  // so pool participants run it concurrently on their own slots.
+  void AscentGradient(AscentSlot& as) const;
   double TrainBatch(const std::vector<const EncodedState*>& batch);
   double TrainBatchSequential(const std::vector<const EncodedState*>& batch);
   // Stacks the given metric matrices into one [sum(H) x 9] tape leaf.
@@ -204,10 +203,8 @@ class GonModel {
   // Arena tape recycled across training calls.
   nn::Tape tape_;
   std::unique_ptr<InferenceWorkspace> inference_;
-  // Worker pool for the threaded scoring path (attention_threads > 1).
-  // Owned per model: GonModel stays single-driver, the pool only fans
-  // out within one ForwardInferenceBatch call.
-  std::unique_ptr<nn::WorkerPool> pool_;
+  // Shared compute pool (not owned; null = sequential).
+  nn::WorkerPool* pool_ = nullptr;
 };
 
 }  // namespace carol::core

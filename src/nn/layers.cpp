@@ -485,13 +485,13 @@ void GraphAttention::ForwardInferenceBatch(const Matrix& u,
     throw std::invalid_argument(
         "GraphAttention::ForwardInferenceBatch: u must be [K*H x in]");
   }
-  if (pool != nullptr && pool->thread_count() > 1 && k > 1) {
+  if (pool != nullptr && pool->width() > 1 && k > 1) {
     // A block of states reads only its own rows of u and edges and
     // writes only its own rows of `out`. The blocked MatMul kernel
     // accumulates each output row independently of which rows share the
     // call, so the block's projections equal the stacked ones bit for
     // bit.
-    ws.EnsureSlots(static_cast<std::size_t>(pool->thread_count()));
+    ws.EnsureSlots(static_cast<std::size_t>(pool->width()));
     out.Resize(k * h, out_);
     pool->ParallelFor(k, [&](std::size_t s0, std::size_t s1, int t) {
       InferenceScratch::Slot& slot = ws.slots[static_cast<std::size_t>(t)];

@@ -238,10 +238,11 @@ class GraphAttention : public Module {
                      const Matrix& d_out, GradScratch& ws,
                      Matrix& d_u) const;
 
-  // Recycled buffers for ForwardInferenceBatch. One Slot per pool thread
-  // (slot 0 doubles as the sequential path's scratch); a Slot is only
-  // ever touched by the thread whose index it carries, which is what
-  // keeps the threaded path race-free without any per-state locking.
+  // Recycled buffers for ForwardInferenceBatch. One Slot per pool
+  // participant slot (slot 0 doubles as the sequential path's scratch);
+  // a Slot is only ever touched by the participant holding its index,
+  // which is what keeps the threaded path race-free without any
+  // per-state locking (see nn/threading.h).
   struct InferenceScratch {
     struct Slot {
       Matrix u_s;
@@ -259,8 +260,8 @@ class GraphAttention : public Module {
   // stacked embeddings [K*H x out], into `out`.
   // With a `pool`, contiguous blocks of states — their shared
   // projections and their attention — fan out across the pool's
-  // threads; results are bit-identical to the sequential path for any
-  // thread count (see src/nn/README.md).
+  // participants; results are bit-identical to the sequential path for
+  // any pool width (see src/nn/README.md).
   void ForwardInferenceBatch(const Matrix& u, const AttentionEdges& edges,
                              InferenceScratch& ws, Matrix& out,
                              WorkerPool* pool = nullptr) const;

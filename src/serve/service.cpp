@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <future>
 #include <span>
@@ -83,7 +84,8 @@ struct ResilienceService::Session {
 };
 
 // A worker shard: one thread, one GonModel replica. The replica is only
-// ever touched by its own thread (plus the master-locked weight sync).
+// ever driven by its own thread (plus the master-locked weight sync);
+// pool helpers work inside its kernel calls on their own scratch slots.
 struct ResilienceService::Worker {
   std::unique_ptr<core::GonModel> replica;
   std::uint64_t epoch = 0;  // last weight epoch copied from the master
@@ -354,16 +356,15 @@ ResilienceService::ResilienceService(const ServiceConfig& config)
   if (config_.num_workers < 1) {
     throw std::invalid_argument("ResilienceService: num_workers must be >= 1");
   }
-  // Per-replica attention threading. The master never runs the
-  // tape-free threaded scoring path (it only trains/fine-tunes/saves),
-  // so it gets no pool — only the replicas do. Thread count never
-  // changes values, so the mixed sizing is invisible to results.
-  if (config_.attention_threads > 1) {
-    config_.gon.attention_threads = config_.attention_threads;
-  }
-  core::GonConfig master_cfg = config_.gon;
-  master_cfg.attention_threads = 1;
-  master_ = std::make_unique<core::GonModel>(master_cfg);
+  // One compute pool, num_workers wide, for the master and every
+  // replica: a worker's GON kernels fan out only over the budget that
+  // the other workers leave idle, so the service computes on at most
+  // num_workers threads, save a worker that picks up work while a helper
+  // finishes its current block (a 1-worker service runs sequentially).
+  // The pool partitions work, never arithmetic, so decisions do not
+  // depend on which participant ran what (src/nn/README.md).
+  pool_ = std::make_unique<nn::WorkerPool>(config_.num_workers);
+  master_ = std::make_unique<core::GonModel>(config_.gon, pool_.get());
   batcher_ = std::make_unique<ScoreBatcher>(
       std::max<std::size_t>(1, config_.max_batch_jobs),
       config_.batch_linger_us);
@@ -379,7 +380,8 @@ ResilienceService::ResilienceService(const ServiceConfig& config)
     auto worker = std::make_unique<Worker>();
     // Same config (and seed) as the master => identical initial weights,
     // so epoch 0 needs no copy.
-    worker->replica = std::make_unique<core::GonModel>(config_.gon);
+    worker->replica =
+        std::make_unique<core::GonModel>(config_.gon, pool_.get());
     worker->obs_shard = static_cast<std::size_t>(i) + 1;
     workers_.push_back(std::move(worker));
   }
@@ -433,15 +435,24 @@ void ResilienceService::Shutdown() {
 }
 
 void ResilienceService::WorkerLoop(Worker& worker) {
+  // The worker holds one of the compute pool's num_workers slots except
+  // while it waits for work, so pool helpers only ever take the budget
+  // of idle workers (src/nn/README.md "The budget rule").
+  pool_->Attach();
   std::unique_lock<std::mutex> lock(queue_mu_);
+  const auto has_work = [&] {
+    if (!ready_.empty() || !pending_scores_.empty()) return true;
+    for (const QueuedJob& job : queue_) {
+      if (!job.session->active) return true;
+    }
+    return stopping_ && queue_.empty() && inflight_ == 0;
+  };
   for (;;) {
-    queue_cv_.wait(lock, [&] {
-      if (!ready_.empty() || !pending_scores_.empty()) return true;
-      for (const QueuedJob& job : queue_) {
-        if (!job.session->active) return true;
-      }
-      return stopping_ && queue_.empty() && inflight_ == 0;
-    });
+    if (!has_work()) {
+      pool_->Detach();
+      queue_cv_.wait(lock, has_work);
+      pool_->Attach();
+    }
     // Scheduling policy, in priority order:
     //   0. expire queued requests whose deadline passed (typed failure,
     //      never a silent drop);
@@ -490,6 +501,7 @@ void ResilienceService::WorkerLoop(Worker& worker) {
     }
     if (stopping_ && queue_.empty() && ready_.empty() &&
         pending_scores_.empty() && inflight_ == 0) {
+      pool_->Detach();
       return;
     }
   }
@@ -678,6 +690,65 @@ bool Expired(Clock::time_point deadline) {
   return deadline != Clock::time_point{} && Clock::now() >= deadline;
 }
 
+// Request boundary validation, run before admission: the snapshot of a
+// request must describe the federation `topology` (one metrics row and
+// one alive flag per node) with finite metrics. Unchecked, NaN rows are
+// scored like any other (and an Observe can put them into Gamma), and
+// mis-sized snapshots fail deep inside the repair. Throws
+// std::invalid_argument naming the request, field and host.
+void ValidateSnapshot(const sim::SystemSnapshot& snapshot,
+                      const sim::Topology& topology, const char* where) {
+  const std::size_t h = static_cast<std::size_t>(topology.num_nodes());
+  const auto fail = [where](const std::string& what) {
+    throw std::invalid_argument(std::string("ResilienceService::") + where +
+                                ": " + what);
+  };
+  if (snapshot.hosts.size() != h) {
+    fail("snapshot.hosts has " + std::to_string(snapshot.hosts.size()) +
+         " rows but the topology has " + std::to_string(h) + " nodes");
+  }
+  if (snapshot.alive.size() != h) {
+    fail("snapshot.alive has " + std::to_string(snapshot.alive.size()) +
+         " flags but the topology has " + std::to_string(h) + " nodes");
+  }
+  static constexpr std::pair<const char*, double sim::HostMetricsRow::*>
+      kFields[] = {
+          {"cpu_util", &sim::HostMetricsRow::cpu_util},
+          {"ram_util", &sim::HostMetricsRow::ram_util},
+          {"disk_util", &sim::HostMetricsRow::disk_util},
+          {"net_util", &sim::HostMetricsRow::net_util},
+          {"energy_kwh", &sim::HostMetricsRow::energy_kwh},
+          {"slo_violation_rate", &sim::HostMetricsRow::slo_violation_rate},
+          {"task_cpu_demand_mips",
+           &sim::HostMetricsRow::task_cpu_demand_mips},
+          {"task_ram_demand_mb", &sim::HostMetricsRow::task_ram_demand_mb},
+          {"avg_deadline_s", &sim::HostMetricsRow::avg_deadline_s},
+          {"sched_cpu_demand_mips",
+           &sim::HostMetricsRow::sched_cpu_demand_mips},
+          {"sched_task_count", &sim::HostMetricsRow::sched_task_count},
+      };
+  for (std::size_t i = 0; i < h; ++i) {
+    for (const auto& [name, field] : kFields) {
+      if (!std::isfinite(snapshot.hosts[i].*field)) {
+        fail(std::string("snapshot.hosts[") + std::to_string(i) + "]." +
+             name + " is not finite");
+      }
+    }
+  }
+}
+
+void ValidateFailedBrokers(const std::vector<sim::NodeId>& failed,
+                           const sim::Topology& topology) {
+  for (const sim::NodeId id : failed) {
+    if (id < 0 || id >= topology.num_nodes()) {
+      throw std::invalid_argument(
+          "ResilienceService::Repair: failed_brokers holds node " +
+          std::to_string(id) + ", outside [0, " +
+          std::to_string(topology.num_nodes()) + ")");
+    }
+  }
+}
+
 }  // namespace
 
 RepairResponse ResilienceService::Repair(SessionId id,
@@ -693,6 +764,8 @@ RepairResponse ResilienceService::Repair(
     const sim::SystemSnapshot& snapshot, std::int64_t deadline_us,
     const RepairScope* scope) {
   const std::shared_ptr<Session> session = FindSession(id);
+  ValidateSnapshot(snapshot, current, "Repair");
+  ValidateFailedBrokers(failed_brokers, current);
   // Effective scope: an explicit request scope wins; otherwise a session
   // whose CarolConfig enables scoped repair gets a hintless scope (the
   // failed LEIs plus budget fill — same default as CarolModel).
@@ -791,6 +864,7 @@ ObserveResponse ResilienceService::Observe(SessionId id,
                                            const sim::SystemSnapshot& snapshot,
                                            std::int64_t deadline_us) {
   const std::shared_ptr<Session> session = FindSession(id);
+  ValidateSnapshot(snapshot, snapshot.topology, "Observe");
   const Clock::time_point deadline = DeadlineFor(deadline_us);
   std::promise<ObserveResponse> promise;
   auto future = promise.get_future();
@@ -1429,7 +1503,7 @@ void WriteCarolConfig(common::BinaryWriter& w, const core::CarolConfig& c) {
   w.I32(c.gon.batch_size);
   w.U64(c.gon.seed);
   w.Bool(c.gon.use_fast_path);
-  w.I32(c.gon.attention_threads);
+  w.I32(1);  // retired GonConfig::attention_threads slot
   w.F64(c.pot.risk);
   w.F64(c.pot.init_quantile);
   w.U64(c.pot.min_calibration);
@@ -1468,7 +1542,7 @@ core::CarolConfig ReadCarolConfig(common::BinaryReader& r,
   c.gon.batch_size = r.I32();
   c.gon.seed = static_cast<unsigned>(r.U64());
   c.gon.use_fast_path = r.Bool();
-  c.gon.attention_threads = r.I32();
+  r.I32();  // retired GonConfig::attention_threads slot
   c.pot.risk = r.F64();
   c.pot.init_quantile = r.F64();
   c.pot.min_calibration = static_cast<std::size_t>(r.U64());
@@ -1714,6 +1788,8 @@ ServiceStats ResilienceService::stats() const {
   s.quota_rejections = quota_rejections_.load();
   s.timeouts = timeouts_.load();
   s.suspended = suspended_.load();
+  s.compute_calls = pool_->fanout_calls();
+  s.compute_participants = pool_->fanout_participants();
   return s;
 }
 
@@ -1744,6 +1820,8 @@ obs::MetricsSnapshot ResilienceService::MetricsSnapshot() const {
   add("quota_rejections", s.quota_rejections);
   add("timeouts", s.timeouts);
   add("suspended", s.suspended);
+  add("compute_calls", s.compute_calls);
+  add("compute_participants", s.compute_participants);
   snap.gauges.push_back(
       {"weight_epoch", static_cast<double>(s.weight_epoch)});
   snap.gauges.push_back(

@@ -58,6 +58,7 @@
 
 #include "core/carol.h"
 #include "core/resilience.h"
+#include "nn/threading.h"
 #include "obs/metrics.h"
 
 namespace carol::common {
@@ -132,6 +133,11 @@ struct ServiceConfig {
   // from this config (same seed => identical initial weights).
   core::GonConfig gon;
   // Worker shards. Each owns a GonModel replica and serves any session.
+  // This is also the service's compute budget: the master and every
+  // replica share one nn::WorkerPool of this width, so the kernels of a
+  // busy worker fan out over the idle workers' share and never beyond
+  // (see src/serve/README.md "Threading"). Decisions are bit-identical
+  // for any value.
   int num_workers = 4;
   // Step-driven repair pipeline (the default): repairs run as resumable
   // core::RepairJobs over an event-driven scheduler, and concurrent
@@ -160,16 +166,6 @@ struct ServiceConfig {
   // comes from scheduling, not from waiting — and is the supported way
   // to get cross-session batching without a latency trade.
   int batch_linger_us = 0;
-  // Per-replica attention threading for large federations (H >= 64):
-  // every worker's GON replica fans the per-state GAT attention of its
-  // batched scoring passes across this many threads. Overrides
-  // gon.attention_threads when > 1. The master gets NO pool — it only
-  // trains/fine-tunes/saves, which never runs the tape-free threaded
-  // path. Total compute threads is roughly num_workers *
-  // attention_threads — size the product to the machine. Decisions stay
-  // bit-identical for any value (threading partitions work, never
-  // arithmetic; see src/nn/README.md).
-  int attention_threads = 1;
   // Admission control (backpressure): maximum number of admitted-but-
   // unfinished requests — queued plus in flight, across all sessions.
   // 0 = unbounded (the historical behavior). When the bound is hit,
@@ -295,6 +291,13 @@ struct ServiceStats {
   // Requests rejected or unwound with ServiceSuspendedError during a
   // drain (including parked in-flight repairs).
   std::uint64_t suspended = 0;
+  // Shared compute pool: GON kernel calls that could fan out (more than
+  // one work block), and their participants summed — the calling worker
+  // plus every idle-budget helper that joined. compute_participants /
+  // compute_calls is the mean fan-out per call (1.0 = every call ran
+  // alone, e.g. at full load; never above num_workers).
+  std::uint64_t compute_calls = 0;
+  std::uint64_t compute_participants = 0;
 };
 
 class ResilienceService {
@@ -325,6 +328,12 @@ class ResilienceService {
   // Both calls block until the request has been served. Calls for the
   // SAME session are serialized internally; issue them from one client
   // thread per session if request order matters.
+  // Both validate the request before admitting it and throw
+  // std::invalid_argument, naming the field and host, unless every
+  // snapshot.hosts metric is finite, snapshot.hosts and snapshot.alive
+  // have one entry per node of the topology (the request's `current`
+  // for Repair, snapshot.topology for Observe), and every failed broker
+  // id lies in [0, H).
   RepairResponse Repair(SessionId id, const RepairRequest& request);
   ObserveResponse Observe(SessionId id, const ObserveRequest& request);
   // Zero-copy overloads (SessionModel's per-interval hot path): the
@@ -492,6 +501,10 @@ class ResilienceService {
                                     Worker& worker);
 
   ServiceConfig config_;
+
+  // The service's compute pool (width num_workers), shared by the master
+  // and every replica. Declared before them so it outlives them.
+  std::unique_ptr<nn::WorkerPool> pool_;
 
   // Master model: the only GonModel whose weights mutate (fine-tunes,
   // offline training, weight loads) — always under master_mu_.

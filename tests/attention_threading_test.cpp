@@ -1,14 +1,14 @@
 // Pins the threaded tape-free scoring path to the sequential one, bit
 // for bit: per-state sparse GAT attention, row-partitioned shared
 // projections and per-chunk encoder/pooling must produce EXACTLY the sequential
-// results for any thread count (the pool partitions work, never the
-// arithmetic within a state). Also unit-tests the WorkerPool itself and
-// stresses it for the TSan CI job.
+// results for any pool width (the pool partitions work, never the
+// arithmetic within a state). Also stresses several pools at once for
+// the TSan CI job; the pool itself is unit-tested in
+// tests/worker_pool_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,64 +22,6 @@
 
 namespace carol {
 namespace {
-
-// --- WorkerPool unit tests ----------------------------------------------
-
-TEST(WorkerPoolTest, CoversEveryItemExactlyOnce) {
-  for (int threads : {1, 2, 4}) {
-    nn::WorkerPool pool(threads);
-    EXPECT_EQ(pool.thread_count(), std::max(1, threads));
-    for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 129u}) {
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      pool.ParallelFor(n, [&](std::size_t begin, std::size_t end, int t) {
-        EXPECT_GE(t, 0);
-        EXPECT_LT(t, pool.thread_count());
-        for (std::size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1);
-        }
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(WorkerPoolTest, BlocksAreContiguousAndDeterministic) {
-  nn::WorkerPool pool(4);
-  const std::size_t n = 10;  // chunk = 3: blocks {0..2},{3..5},{6..8},{9}
-  std::vector<int> owner_a(n, -1), owner_b(n, -1);
-  auto record = [&](std::vector<int>& owner) {
-    pool.ParallelFor(n, [&](std::size_t begin, std::size_t end, int t) {
-      for (std::size_t i = begin; i < end; ++i) owner[i] = t;
-    });
-  };
-  record(owner_a);
-  record(owner_b);
-  EXPECT_EQ(owner_a, owner_b);  // same partition every run
-  for (std::size_t i = 1; i < n; ++i) {
-    EXPECT_GE(owner_a[i], owner_a[i - 1]);  // contiguous ascending blocks
-  }
-}
-
-TEST(WorkerPoolTest, RethrowsFirstCallbackException) {
-  nn::WorkerPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(8,
-                       [&](std::size_t begin, std::size_t, int) {
-                         if (begin == 0) {
-                           throw std::runtime_error("block 0 failed");
-                         }
-                       }),
-      std::runtime_error);
-  // The pool must stay usable after a failed job.
-  std::atomic<int> total{0};
-  pool.ParallelFor(8, [&](std::size_t begin, std::size_t end, int) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 8);
-}
 
 // --- GraphAttention bit-identity ----------------------------------------
 
@@ -139,13 +81,12 @@ TEST(AttentionThreadingTest, GatForwardInferenceBatchBitIdentical) {
 
 // --- GonModel bit-identity ----------------------------------------------
 
-core::GonConfig TinyGonConfig(int attention_threads = 1) {
+core::GonConfig TinyGonConfig() {
   core::GonConfig cfg;
   cfg.hidden_width = 12;
   cfg.num_layers = 2;
   cfg.gat_width = 6;
   cfg.generation_steps = 3;
-  cfg.attention_threads = attention_threads;
   return cfg;
 }
 
@@ -167,7 +108,7 @@ sim::SystemSnapshot MakeSnapshot(int hosts, int brokers, double util,
 
 TEST(AttentionThreadingTest, DiscriminateBatchBitIdenticalAcrossThreads) {
   core::FeatureEncoder encoder;
-  core::GonModel sequential(TinyGonConfig(1));
+  core::GonModel sequential(TinyGonConfig());
   for (int hosts : {16, 64, 128}) {
     std::vector<core::EncodedState> states;
     for (int i = 0; i < 7; ++i) {  // ragged K (not a multiple of threads)
@@ -177,7 +118,8 @@ TEST(AttentionThreadingTest, DiscriminateBatchBitIdenticalAcrossThreads) {
     const std::vector<double> expected = sequential.DiscriminateBatch(
         std::span<const core::EncodedState>(states));
     for (int threads : {2, 4}) {
-      core::GonModel threaded(TinyGonConfig(threads));  // same seed/weights
+      nn::WorkerPool pool(threads);
+      core::GonModel threaded(TinyGonConfig(), &pool);  // same seed/weights
       const std::vector<double> actual = threaded.DiscriminateBatch(
           std::span<const core::EncodedState>(states));
       ASSERT_EQ(actual.size(), expected.size());
@@ -199,8 +141,9 @@ TEST(AttentionThreadingTest, MixedHostCountBatchesStayBitIdentical) {
     states.push_back(encoder.Encode(
         MakeSnapshot(hosts, std::max(2, hosts / 4), 0.35, ++salt)));
   }
-  core::GonModel sequential(TinyGonConfig(1));
-  core::GonModel threaded(TinyGonConfig(4));
+  core::GonModel sequential(TinyGonConfig());
+  nn::WorkerPool pool(4);
+  core::GonModel threaded(TinyGonConfig(), &pool);
   const std::vector<double> expected = sequential.DiscriminateBatch(
       std::span<const core::EncodedState>(states));
   const std::vector<double> actual = threaded.DiscriminateBatch(
@@ -212,11 +155,12 @@ TEST(AttentionThreadingTest, MixedHostCountBatchesStayBitIdentical) {
 }
 
 TEST(AttentionThreadingTest, GenerateBatchConfidencesBitIdentical) {
-  // The ascent steps run on the calling thread; the final stacked
-  // confidence pass threads. End-to-end generation results must match.
+  // Both the ascent chunks and the final stacked confidence pass fan
+  // out. End-to-end generation results must match.
   core::FeatureEncoder encoder;
-  core::GonModel sequential(TinyGonConfig(1));
-  core::GonModel threaded(TinyGonConfig(3));
+  core::GonModel sequential(TinyGonConfig());
+  nn::WorkerPool pool(3);
+  core::GonModel threaded(TinyGonConfig(), &pool);
   std::vector<core::EncodedState> states;
   for (int i = 0; i < 5; ++i) {
     states.push_back(
@@ -254,7 +198,7 @@ TEST(AttentionThreadingTest, ConcurrentModelsWithPoolsStress) {
   for (int i = 0; i < 6; ++i) {
     states.push_back(encoder.Encode(MakeSnapshot(64, 16, 0.4, i)));
   }
-  core::GonModel reference(TinyGonConfig(1));
+  core::GonModel reference(TinyGonConfig());
   const std::vector<double> expected = reference.DiscriminateBatch(
       std::span<const core::EncodedState>(states));
 
@@ -262,7 +206,8 @@ TEST(AttentionThreadingTest, ConcurrentModelsWithPoolsStress) {
   std::atomic<int> mismatches{0};
   for (int d = 0; d < kDrivers; ++d) {
     drivers.emplace_back([&, d] {
-      core::GonModel model(TinyGonConfig(2 + d % 3));
+      nn::WorkerPool pool(2 + d % 3);
+      core::GonModel model(TinyGonConfig(), &pool);
       for (int r = 0; r < kRounds; ++r) {
         const std::vector<double> scores = model.DiscriminateBatch(
             std::span<const core::EncodedState>(states));

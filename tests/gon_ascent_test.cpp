@@ -9,7 +9,9 @@
 // Covered: H in {1, 4, 16, 64, 128}, broker counts from 1 to H/4,
 // K in {1, 7, 20}, per-candidate early convergence, the grad_scale stop,
 // attention weights that underflow to exact zero, mixed-H buckets and
-// attention_threads in {1, 4}.
+// models on injected compute pools of width 1 to 4 (fewer candidates than
+// participants, candidate counts not divisible by the width, and an
+// active set that shrinks mid-call).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
+#include "nn/threading.h"
 #include "sim/federation.h"
 #include "sim/topology.h"
 
@@ -406,14 +409,13 @@ nn::Matrix PerturbedInit(const nn::Matrix& m, common::Rng& rng) {
   return init;
 }
 
-core::GonConfig ServingConfig(int attention_threads = 1) {
+core::GonConfig ServingConfig() {
   core::GonConfig cfg;
   cfg.hidden_width = 32;
   cfg.num_layers = 2;
   cfg.gat_width = 16;
   cfg.generation_steps = 5;
   cfg.seed = 11;
-  cfg.attention_threads = attention_threads;
   return cfg;
 }
 
@@ -590,17 +592,45 @@ TEST(GonAscentTest, MixedHostCountBucketsMatchOracle) {
   ExpectBitIdentical(gon, oracle, batch, "mixed");
 }
 
-TEST(GonAscentTest, ThreadedModelMatchesOracle) {
-  for (int threads : {1, 4}) {
-    core::GonModel gon(ServingConfig(threads));
+TEST(GonAscentTest, PooledModelMatchesOracle) {
+  // The ascent's candidate chunks (kAscentChunkRows / width host rows
+  // each) and the scoring pass fan out over the pool; which participant
+  // claims which chunk must not move a bit.
+  core::GonConfig converging = ServingConfig();
+  converging.generation_steps = 12;
+  converging.generation_tol = 5e-3;  // the active set shrinks mid-call
+  for (int width : {1, 2, 3, 4}) {
+    nn::WorkerPool pool(width);
+    const std::string w = " width=" + std::to_string(width);
+    {
+      core::GonModel gon(ServingConfig(), &pool);
+      TapeOracle oracle(gon);
+      // Fewer candidates than participants: one state per chunk at H=128.
+      for (std::size_t k : {1u, 2u}) {
+        const Batch few = MakeBatch(std::vector<int>(k, 128),
+                                    std::vector<int>(k, 8), 30 + k);
+        ExpectBitIdentical(gon, oracle, few,
+                           "K=" + std::to_string(k) + w);
+      }
+      // K not divisible by the width, several chunks per participant.
+      const Batch ragged = MakeBatch(std::vector<int>(9, 64),
+                                     std::vector<int>(9, 8), 31);
+      ExpectBitIdentical(gon, oracle, ragged, "K=9" + w);
+      const Batch mixed =
+          MakeBatch({16, 64, 16, 32, 64}, {4, 8, 2, 8, 16}, 32);
+      ExpectBitIdentical(gon, oracle, mixed, "mixed" + w);
+    }
+    core::GonModel gon(converging, &pool);
     TapeOracle oracle(gon);
-    const Batch batch = MakeBatch(std::vector<int>(9, 64),
-                                  std::vector<int>(9, 8), 31);
-    ExpectBitIdentical(gon, oracle, batch,
-                       "threads=" + std::to_string(threads));
-    const Batch mixed = MakeBatch({16, 64, 16, 32, 64}, {4, 8, 2, 8, 16}, 32);
-    ExpectBitIdentical(gon, oracle, mixed,
-                       "mixed threads=" + std::to_string(threads));
+    const Batch batch = MakeBatch(std::vector<int>(20, 32),
+                                  std::vector<int>(20, 4), 33);
+    const auto results = ExpectBitIdentical(gon, oracle, batch, "tol" + w);
+    int min_steps = converging.generation_steps, max_steps = 0;
+    for (const auto& r : results) {
+      min_steps = std::min(min_steps, r.steps);
+      max_steps = std::max(max_steps, r.steps);
+    }
+    EXPECT_LT(min_steps, max_steps) << "no candidate converged early" << w;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/carol.h"
 #include "core/node_shift.h"
 #include "core/tabu.h"
+#include "nn/threading.h"
 #include "sim/federation.h"
 
 namespace carol::core {
@@ -428,11 +429,11 @@ TEST(RepairJobTest, InterleavedJobsMatchSoloRuns) {
 
 TEST(RepairJobTest, LargeFederationRepairMatchesSingleModelPath) {
   // H=64 end-to-end: a step-driven RepairJob scored by a THREADED GON
-  // (4 attention threads) must reproduce the reference pre-refactor
+  // (a width-4 compute pool) must reproduce the reference pre-refactor
   // repair loop scored by a sequential GON with the same seed, exactly.
   // This chains every piece of the large-H hot path — incremental-hash
   // tabu filtering, move-record enumeration, stacked generation scoring
-  // and threaded attention — against the single-model reference.
+  // and pooled scoring and ascent — against the single-model reference.
   CarolConfig config;
   config.gon.hidden_width = 12;
   config.gon.num_layers = 2;
@@ -444,9 +445,8 @@ TEST(RepairJobTest, LargeFederationRepairMatchesSingleModelPath) {
   const std::vector<sim::NodeId> failed = {0};
   const sim::SystemSnapshot snap = MakeFailureSnapshot(64, 16, failed);
 
-  GonConfig threaded_cfg = config.gon;
-  threaded_cfg.attention_threads = 4;
-  GonModel threaded_gon(threaded_cfg);
+  nn::WorkerPool pool(4);
+  GonModel threaded_gon(config.gon, &pool);
   GonModel sequential_gon(config.gon);  // same seed => same weights
   FeatureEncoder encoder;
 

@@ -6,7 +6,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -450,23 +454,28 @@ TEST(ServeTest, BusySessionDoesNotStarveOtherTenants) {
   EXPECT_EQ(completed.load(), 18);
 }
 
-TEST(ServeTest, ThreadedAttentionKeepsSessionsBitIdentical) {
-  // attention_threads > 1 threads every replica's scoring kernels; the
-  // session's decisions and confidences must STILL match the sequential
-  // single-model reference exactly.
+TEST(ServeTest, SharedComputePoolKeepsSessionsBitIdentical) {
+  // A 3-worker service fans every replica's scoring passes and ascent
+  // chunks out over its width-3 compute pool while the other workers
+  // idle; the session's decisions and confidences must STILL match the
+  // sequential single-model reference exactly.
   core::CarolConfig cfg = TinyCarolConfig(77);
   cfg.policy = core::FineTunePolicy::kNever;
   core::CarolModel reference(cfg);
   const Episode expected = DriveCarol(reference, 12, 3, 5);
 
-  ServiceConfig service_cfg = TinyServiceConfig(2);
-  service_cfg.attention_threads = 3;
-  ResilienceService service(service_cfg);
+  ResilienceService service(TinyServiceConfig(3));
   FederationSpec spec;
   spec.carol = cfg;
   const SessionId id = service.OpenSession(spec);
   const Episode actual = DriveSession(service, id, 12, 3, 5);
   ExpectEpisodesIdentical(expected, actual);
+  // The pool's telemetry: calls that could fan out, and a mean fan-out
+  // within [1, num_workers].
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.compute_calls, 0u);
+  EXPECT_GE(stats.compute_participants, stats.compute_calls);
+  EXPECT_LE(stats.compute_participants, 3 * stats.compute_calls);
 }
 
 // --- admission control ---------------------------------------------------
@@ -854,6 +863,111 @@ TEST(ServeTest, UnknownSessionThrows) {
   const SessionId id = service.OpenSession(spec);
   service.CloseSession(id);
   EXPECT_THROW(service.Observe(id, req), std::invalid_argument);
+}
+
+// --- request boundary validation ------------------------------------------
+
+// Expects `call` to throw std::invalid_argument whose message contains
+// every one of `fragments`.
+template <typename Call>
+void ExpectRejected(Call call, const std::vector<std::string>& fragments) {
+  try {
+    call();
+    ADD_FAILURE() << "request was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const std::string& f : fragments) {
+      EXPECT_NE(what.find(f), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ServeTest, NonFiniteSnapshotMetricsAreRejectedAtTheBoundary) {
+  ResilienceService service(TinyServiceConfig(2));
+  FederationSpec spec;
+  spec.carol = TinyCarolConfig();
+  const SessionId id = service.OpenSession(spec);
+
+  // cpu_util = NaN on every host: was accepted with a valid-looking
+  // topology and confidence, and an Observe could put it into Gamma.
+  RepairRequest repair;
+  repair.snapshot = MakeFailureSnapshot(0.5, 16, 4);
+  for (auto& h : repair.snapshot.hosts) h.cpu_util = std::nan("");
+  repair.current = repair.snapshot.topology;
+  repair.failed_brokers = {0};
+  ExpectRejected([&] { service.Repair(id, repair); },
+                 {"Repair", "hosts[0]", "cpu_util"});
+  ObserveRequest observe;
+  observe.snapshot = repair.snapshot;
+  ExpectRejected([&] { service.Observe(id, observe); },
+                 {"Observe", "hosts[0]", "cpu_util"});
+
+  // One infinite field on one host is enough, and is named.
+  observe.snapshot = MakeSnapshot(0.4, 16, 4);
+  observe.snapshot.hosts[5].sched_task_count =
+      std::numeric_limits<double>::infinity();
+  ExpectRejected([&] { service.Observe(id, observe); },
+                 {"hosts[5]", "sched_task_count"});
+  repair.snapshot = MakeFailureSnapshot(0.5, 16, 4);
+  repair.snapshot.hosts[11].energy_kwh =
+      -std::numeric_limits<double>::infinity();
+  ExpectRejected([&] { service.Repair(id, repair); },
+                 {"hosts[11]", "energy_kwh"});
+
+  // Nothing was admitted, and the session still serves valid requests.
+  EXPECT_EQ(service.stats().repairs, 0u);
+  EXPECT_EQ(service.stats().observes, 0u);
+  repair.snapshot = MakeFailureSnapshot(0.5, 16, 4);
+  EXPECT_TRUE(service.Repair(id, repair).topology.IsValid());
+  observe.snapshot = MakeSnapshot(0.4, 16, 4);
+  EXPECT_GT(service.Observe(id, observe).confidence, 0.0);
+}
+
+TEST(ServeTest, OutOfRangeFailedBrokersAreRejectedAtTheBoundary) {
+  // failed_brokers = {99} on a 16-host request used to surface as
+  // std::out_of_range from deep inside the repair job.
+  for (const bool pipeline : {true, false}) {
+    ServiceConfig cfg = TinyServiceConfig(1);
+    cfg.pipeline = pipeline;
+    ResilienceService service(cfg);
+    FederationSpec spec;
+    spec.carol = TinyCarolConfig();
+    const SessionId id = service.OpenSession(spec);
+    RepairRequest repair;
+    repair.snapshot = MakeFailureSnapshot(0.5, 16, 4);
+    repair.current = repair.snapshot.topology;
+    for (const sim::NodeId bad : {99, 16, -1}) {
+      repair.failed_brokers = {0, bad};
+      ExpectRejected([&] { service.Repair(id, repair); },
+                     {"failed_brokers", std::to_string(bad), "[0, 16)"});
+    }
+    EXPECT_EQ(service.stats().repairs, 0u);
+  }
+}
+
+TEST(ServeTest, MisSizedSnapshotsAreRejectedAtTheBoundary) {
+  ResilienceService service(TinyServiceConfig(1));
+  FederationSpec spec;
+  spec.carol = TinyCarolConfig();
+  const SessionId id = service.OpenSession(spec);
+
+  RepairRequest repair;
+  repair.snapshot = MakeFailureSnapshot(0.5, 16, 4);
+  repair.current = sim::Topology::Initial(20, 4);  // topology vs hosts
+  repair.failed_brokers = {0};
+  ExpectRejected([&] { service.Repair(id, repair); },
+                 {"snapshot.hosts", "16", "20"});
+  repair.current = repair.snapshot.topology;
+  repair.snapshot.alive.pop_back();  // alive vs topology
+  ExpectRejected([&] { service.Repair(id, repair); },
+                 {"snapshot.alive", "15", "16"});
+
+  ObserveRequest observe;
+  observe.snapshot = MakeSnapshot(0.4, 16, 4);
+  observe.snapshot.hosts.resize(12);
+  ExpectRejected([&] { service.Observe(id, observe); },
+                 {"Observe", "snapshot.hosts", "12", "16"});
+  EXPECT_EQ(service.stats().repairs + service.stats().observes, 0u);
 }
 
 TEST(ServeTest, ShutdownUnderLoadCompletesOrRejectsEveryRequest) {
