@@ -8,14 +8,19 @@
 //   {"op", "shape", "ns_per_op", "baseline_ns_per_op", "speedup"}
 // so the perf trajectory is tracked from PR 1 onward. `baseline` is the
 // naive reference implementation measured in the same process (textbook
-// i-j-k matmul, std::function map, seed-style per-call-tape GON).
+// i-j-k matmul, std::function map, seed-style per-call-tape GON). Rows
+// with an absolute efficiency also carry "gflops". The first row,
+// op "machine_fingerprint", names the CPU, core count, compiler and
+// flags in its "shape" field.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,6 +30,7 @@
 #include "core/node_shift.h"
 #include "core/pot.h"
 #include "core/tabu.h"
+#include "harness/runtime.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
 #include "nn/threading.h"
@@ -43,6 +49,7 @@ struct BenchResult {
   double ns_per_op = 0.0;
   double baseline_ns_per_op = 0.0;  // 0 => no baseline for this op
   double speedup = 0.0;             // baseline / fast
+  double gflops = 0.0;              // 0 => no absolute efficiency
 };
 
 std::vector<BenchResult>& Results() {
@@ -87,6 +94,21 @@ void Report(const std::string& op, const std::string& shape, double fast_ns,
   }
 }
 
+// CPU model, core count, compiler and flags: the first row of the JSON.
+std::string MachineFingerprint() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  return "cpu=" + cpu +
+         " nproc=" + std::to_string(std::thread::hardware_concurrency()) +
+         " compiler=" CAROL_BENCH_COMPILER " flags=" CAROL_BENCH_FLAGS;
+}
+
 void WriteJson(const char* path) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -94,13 +116,24 @@ void WriteJson(const char* path) {
     return;
   }
   std::fprintf(f, "[\n");
+  std::fprintf(f,
+               "  {\"op\": \"machine_fingerprint\", \"shape\": \"%s\", "
+               "\"ns_per_op\": 0.0, \"baseline_ns_per_op\": 0.0, "
+               "\"speedup\": 0.000}%s\n",
+               MachineFingerprint().c_str(), Results().empty() ? "" : ",");
   const auto& rs = Results();
   for (std::size_t i = 0; i < rs.size(); ++i) {
+    std::string gflops;
+    if (rs[i].gflops > 0.0) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, ", \"gflops\": %.3f", rs[i].gflops);
+      gflops = buf;
+    }
     std::fprintf(f,
                  "  {\"op\": \"%s\", \"shape\": \"%s\", \"ns_per_op\": "
-                 "%.1f, \"baseline_ns_per_op\": %.1f, \"speedup\": %.3f}%s\n",
+                 "%.1f, \"baseline_ns_per_op\": %.1f, \"speedup\": %.3f%s}%s\n",
                  rs[i].op.c_str(), rs[i].shape.c_str(), rs[i].ns_per_op,
-                 rs[i].baseline_ns_per_op, rs[i].speedup,
+                 rs[i].baseline_ns_per_op, rs[i].speedup, gflops.c_str(),
                  i + 1 < rs.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -206,10 +239,10 @@ void BenchGon() {
 
   // Input-space generation (Eq. 1 ascent = the OptimizeInput hot path).
   const double gen_fast =
-      TimeNs([&] { g_sink += fast_gon.Generate(enc.m, enc).confidence; },
+      TimeNs([&] { g_sink += fast_gon.Generate(enc.m, enc).metrics(0, 0); },
              500.0);
   const double gen_slow =
-      TimeNs([&] { g_sink += slow_gon.Generate(enc.m, enc).confidence; },
+      TimeNs([&] { g_sink += slow_gon.Generate(enc.m, enc).metrics(0, 0); },
              500.0);
   Report("gon_generate_warm", "H=16 steps<=20", gen_fast, gen_slow);
 
@@ -284,6 +317,110 @@ void BenchGonLargeH() {
              shape_base + " T=" + std::to_string(threads), thr_ns, seq_ns);
     }
   }
+}
+
+// Floating-point operations of one Eq.-1 ascent evaluation (forward plus
+// the grad_M backward) of one H-host state with `edges` attention edges
+// (self-loops included), counted from the layer shapes and the edge
+// count: 2 per multiply-add of every product the hand-written ascent
+// runs, with no credit for skipped zeros and no dense H x H term.
+double AscentFlops(const core::GonConfig& g, double h, double edges) {
+  const double hw = g.hidden_width;
+  const double gw = g.gat_width;
+  const double deep = std::max(1, g.num_layers) - 1.0;
+  const double in_ms = 11.0, in_gat = 6.0;
+  // Encoder and head, forward and input-gradient backward: each weight
+  // matrix is multiplied once per direction.
+  const double encoder = 2.0 * 2.0 * h * (in_ms * hw + deep * hw * hw);
+  const double head = 2.0 * 2.0 * ((hw + gw) * hw + hw);
+  // GAT projections (u W, hidden Wq) both ways; per edge: the score and
+  // the aggregation forward, then d_attn, d_hidden, d_query and the
+  // transposed-operand gradient backward.
+  const double projections = 2.0 * 2.0 * h * (in_gat * gw + gw * gw);
+  const double attention = 6.0 * 2.0 * edges * gw;
+  return encoder + head + projections + attention;
+}
+
+// The Eq.-1 ascent at the repository benchmark's serving shape
+// (perfbench's fleet-h4096-scoped replay): H = 128 with 8 brokers, a
+// frontier of K = 20 node-shift candidates of one snapshot, hidden 32 x 2,
+// GAT 16, 5 ascent steps, weights trained on a training trace as the
+// benchmark's set-up trains them (untrained weights have unstructured
+// zeros). Sequential (no pool). GFLOP/s counts AscentFlops per state and
+// ascent evaluation.
+void BenchGonAscent() {
+  core::GonConfig cfg;
+  cfg.hidden_width = 32;
+  cfg.num_layers = 2;
+  cfg.gat_width = 16;
+  cfg.generation_steps = 5;
+  core::GonModel gon(cfg);
+  {
+    harness::RunConfig rc;
+    rc.intervals = 120;
+    rc.seed = 7u * 7919u + 17u;
+    const workload::Trace trace = harness::CollectTrainingTrace(rc);
+    core::FeatureEncoder encoder;
+    std::vector<core::EncodedState> data;
+    for (const auto& record : trace) data.push_back(encoder.EncodeRecord(record));
+    gon.Train(data, /*max_epochs=*/6);
+  }
+
+  constexpr int kHosts = 128, kBrokers = 8, kCandidates = 20;
+  common::Rng rng(5);
+  sim::SystemSnapshot snap;
+  snap.topology = sim::Topology::Initial(kHosts, kBrokers);
+  snap.hosts.resize(kHosts);
+  snap.alive.assign(kHosts, true);
+  for (int i = 0; i < kHosts; ++i) {
+    auto& m = snap.hosts[static_cast<std::size_t>(i)];
+    const double util = rng.Uniform(0.05, 0.95);
+    m.cpu_util = util;
+    m.ram_util = rng.Uniform(0.0, 1.0);
+    m.disk_util = util * 0.3;
+    m.net_util = rng.Uniform(0.0, 0.5);
+    m.energy_kwh = util * 5e-4;
+    m.slo_violation_rate = util > 0.8 ? 0.3 : 0.05;
+    m.task_cpu_demand_mips = util * 3000.0;
+    m.task_ram_demand_mb = util * 2000.0;
+    m.avg_deadline_s = 300.0;
+    m.sched_cpu_demand_mips = rng.Uniform(0.0, 1000.0);
+    m.sched_task_count = rng.Uniform(0.0, 3.0);
+    m.is_broker = snap.topology.is_broker(i);
+  }
+  const auto moves = core::LocalMoves(snap.topology, snap.alive);
+  core::FeatureEncoder encoder;
+  std::vector<core::EncodedState> states;
+  for (int k = 0; k < kCandidates; ++k) {
+    sim::Topology candidate;
+    core::ApplyLocalMove(
+        snap.topology,
+        moves[static_cast<std::size_t>(k * 7) % moves.size()], candidate);
+    states.push_back(encoder.EncodeForTopology(snap, candidate));
+  }
+  std::vector<const nn::Matrix*> inits;
+  std::vector<const core::EncodedState*> ctxs;
+  for (const auto& s : states) {
+    inits.push_back(&s.m);
+    ctxs.push_back(&s);
+  }
+
+  // Work per call: each state's edges (self-loops included) times its
+  // ascent evaluations.
+  const auto results = gon.GenerateBatch(inits, ctxs);
+  double flops = 0.0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    double edges = kHosts;
+    for (double v : states[i].adjacency.flat()) edges += v != 0.0 ? 1.0 : 0.0;
+    flops += AscentFlops(cfg, kHosts, edges) * results[i].steps;
+  }
+  const double ns = TimeNs(
+      [&] { g_sink += gon.GenerateBatch(inits, ctxs).front().metrics(0, 0); },
+      1500.0);
+  Report("gon_ascent", "H=128 B=8 K=20 hidden=32x2 gat=16 steps=5", ns);
+  Results().back().gflops = flops / ns;
+  std::printf("%-28s %-16s %12.2f GFLOP/s (%.1f MFLOP per call)\n",
+              "gon_ascent", "", flops / ns, flops / 1e6);
 }
 
 void BenchNodeShift() {
@@ -367,6 +504,7 @@ int main() {
   BenchMap();
   BenchGon();
   BenchGonLargeH();
+  BenchGonAscent();
   BenchNodeShift();
   BenchRepair();
   BenchPot();

@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "core/bucket.h"
+#include "nn/simd.h"
 
 namespace carol::core {
 
@@ -100,7 +101,6 @@ struct GonModel::InferenceWorkspace {
   nn::AttentionEdges edges;
   std::vector<const nn::Matrix*> adj_ptrs;
   std::vector<const nn::Matrix*> m_ptrs;
-  std::vector<double> scores;
   // Per-slot encoder scratch for the threaded scoring path: pool slot t
   // owns enc_chunks[t] (only the participant holding slot t ever
   // touches it; see nn/threading.h).
@@ -115,25 +115,46 @@ struct GonModel::InferenceWorkspace {
 
 namespace {
 
+// dst[c] = (sum of rows [row, row + h) of m, column c) * inv. Lanes are
+// columns: each column sums its rows in ascending order from +0, then
+// scales, as the RowMean tape op does.
+void MeanRows(const nn::Matrix& m, std::size_t row, std::size_t h,
+              double inv, double* dst) {
+  using nn::simd::Vec;
+  constexpr std::size_t kL = nn::simd::kLanes;
+  const std::size_t w = m.cols();
+  const double* src = m.flat().data() + row * w;
+  std::size_t c = 0;
+  for (; c + 2 * kL <= w; c += 2 * kL) {
+    Vec a0{}, a1{};
+    for (std::size_t r = 0; r < h; ++r) {
+      a0 += nn::simd::Load(src + r * w + c);
+      a1 += nn::simd::Load(src + r * w + c + kL);
+    }
+    nn::simd::Store(dst + c, a0 * inv);
+    nn::simd::Store(dst + c + kL, a1 * inv);
+  }
+  for (; c + kL <= w; c += kL) {
+    Vec a{};
+    for (std::size_t r = 0; r < h; ++r) a += nn::simd::Load(src + r * w + c);
+    nn::simd::Store(dst + c, a * inv);
+  }
+  for (; c < w; ++c) {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < h; ++r) acc += src[r * w + c];
+    dst[c] = acc * inv;
+  }
+}
+
 // Mean-pools one state's H encoder rows (from row `ems_row` of `e_ms`)
 // and GAT rows (from row `eg_row` of `e_g`) into its [hidden + gat]
-// head-input row, in the sum-then-scale order of the RowMean tape op.
+// head-input row.
 void PoolState(const nn::Matrix& e_ms, std::size_t ems_row,
                const nn::Matrix& e_g, std::size_t eg_row, std::size_t h,
                double* prow) {
-  const std::size_t hw = e_ms.cols();
-  const std::size_t gw = e_g.cols();
   const double inv = h == 0 ? 0.0 : 1.0 / static_cast<double>(h);
-  for (std::size_t c = 0; c < hw; ++c) {
-    double acc = 0.0;
-    for (std::size_t r = 0; r < h; ++r) acc += e_ms(ems_row + r, c);
-    prow[c] = acc * inv;
-  }
-  for (std::size_t c = 0; c < gw; ++c) {
-    double acc = 0.0;
-    for (std::size_t r = 0; r < h; ++r) acc += e_g(eg_row + r, c);
-    prow[hw + c] = acc * inv;
-  }
+  MeanRows(e_ms, ems_row, h, inv, prow);
+  MeanRows(e_g, eg_row, h, inv, prow + e_ms.cols());
 }
 
 // Writes the [M_i, S_i] encoder rows and [M_i[:, :4], roles_i] GAT rows
@@ -143,23 +164,71 @@ void StackInputs(std::span<const nn::Matrix* const> ms,
                  std::span<const EncodedState* const> ctxs, std::size_t i0,
                  std::size_t i1, nn::Matrix& ms_stack, nn::Matrix& u_stack) {
   const std::size_t h = ctxs.front()->m.rows();
-  const std::size_t mc = FeatureEncoder::kMetricFeatures;
+  constexpr std::size_t mc = FeatureEncoder::kMetricFeatures;
+  constexpr std::size_t sc = FeatureEncoder::kSchedFeatures;
+  constexpr std::size_t rc = FeatureEncoder::kRoleFeatures;
+  constexpr auto kMsWidth = static_cast<std::size_t>(kMsInputWidth);
+  constexpr auto kGatWidth = static_cast<std::size_t>(kGatInputWidth);
   for (std::size_t i = i0; i < i1; ++i) {
-    const nn::Matrix& m = *ms[i];
-    const EncodedState& ctx = *ctxs[i];
+    const double* m = ms[i]->flat().data();
+    const double* s = ctxs[i]->s.flat().data();
+    const double* roles = ctxs[i]->roles.flat().data();
+    double* ms_row = ms_stack.flat().data() + i * h * kMsWidth;
+    double* u_row = u_stack.flat().data() + i * h * kGatWidth;
     for (std::size_t r = 0; r < h; ++r) {
-      auto mrow = m.row(r);
-      auto srow = ctx.s.row(r);
-      auto rrow = ctx.roles.row(r);
-      auto ms_row = ms_stack.row(i * h + r);
-      std::copy(mrow.begin(), mrow.end(), ms_row.begin());
-      std::copy(srow.begin(), srow.end(),
-                ms_row.begin() + static_cast<std::ptrdiff_t>(mc));
-      auto u_row = u_stack.row(i * h + r);
-      std::copy(mrow.begin(), mrow.begin() + 4, u_row.begin());
-      std::copy(rrow.begin(), rrow.end(), u_row.begin() + 4);
+      for (std::size_t c = 0; c < mc; ++c) ms_row[c] = m[c];
+      for (std::size_t c = 0; c < sc; ++c) ms_row[mc + c] = s[c];
+      for (std::size_t c = 0; c < 4; ++c) u_row[c] = m[c];
+      for (std::size_t c = 0; c < rc; ++c) u_row[4 + c] = roles[c];
+      m += mc;
+      s += sc;
+      roles += rc;
+      ms_row += kMsWidth;
+      u_row += kGatWidth;
     }
   }
+}
+
+// One Eq.-1 step on a candidate's metrics `mp` (n entries) from its
+// gradient `gp`: M <- clamp(M + lr * grad / max|grad|, 0, 1). Returns
+// false, leaving M untouched, when max|grad| < 1e-12; otherwise sets
+// `moved` to whether any |delta| > 1e-9. Lanes are entries, each
+// evaluating the scalar expressions of the tail loop, and the max is
+// exact in any order.
+bool AscentStep(const double* gp, double* mp, std::size_t n, double lr,
+                bool& moved) {
+  using nn::simd::Vec;
+  constexpr std::size_t kL = nn::simd::kLanes;
+  Vec scale_v{};
+  std::size_t j = 0;
+  for (; j + kL <= n; j += kL) {
+    const Vec g = nn::simd::Load(gp + j);
+    const Vec ag = g < 0.0 ? -g : g;
+    scale_v = scale_v < ag ? ag : scale_v;
+  }
+  double grad_scale = 0.0;
+  for (std::size_t l = 0; l < kL; ++l) {
+    grad_scale = std::max(grad_scale, scale_v[l]);
+  }
+  for (; j < n; ++j) grad_scale = std::max(grad_scale, std::abs(gp[j]));
+  if (grad_scale < 1e-12) return false;
+  const Vec one = Vec{} + 1.0;
+  decltype(Vec{} < Vec{}) moved_v{};
+  j = 0;
+  for (; j + kL <= n; j += kL) {
+    const Vec delta = lr * nn::simd::Load(gp + j) / grad_scale;
+    moved_v |= (delta > 1e-9) | (delta < -1e-9);
+    const Vec v = nn::simd::Load(mp + j) + delta;
+    nn::simd::Store(mp + j, v < 0.0 ? Vec{} : (1.0 < v ? one : v));  // clamp
+  }
+  moved = false;
+  for (std::size_t l = 0; l < kL; ++l) moved |= moved_v[l] != 0;
+  for (; j < n; ++j) {
+    const double delta = lr * gp[j] / grad_scale;
+    if (std::abs(delta) > 1e-9) moved = true;
+    mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
+  }
+  return true;
 }
 
 // Rejects a state the stacked kernels would read out of bounds: every
@@ -364,13 +433,15 @@ void GonModel::AscentGradient(AscentSlot& as) const {
   const double inv = h == 0 ? 0.0 : 1.0 / static_cast<double>(h);
   as.d_ems.Resize(k * h, hw);
   as.d_eg.Resize(k * h, gw);
-  for (std::size_t i = 0; i < k; ++i) {
+  for (std::size_t i = 0; i < k && h > 0; ++i) {
     const double* prow = d_pooled.flat().data() + i * (hw + gw);
-    for (std::size_t r = i * h; r < (i + 1) * h; ++r) {
-      for (std::size_t c = 0; c < hw; ++c) as.d_ems(r, c) = prow[c] * inv;
-      for (std::size_t c = 0; c < gw; ++c) {
-        as.d_eg(r, c) = prow[hw + c] * inv;
-      }
+    double* ems = as.d_ems.flat().data() + i * h * hw;
+    double* eg = as.d_eg.flat().data() + i * h * gw;
+    for (std::size_t c = 0; c < hw; ++c) ems[c] = prow[c] * inv;
+    for (std::size_t c = 0; c < gw; ++c) eg[c] = prow[hw + c] * inv;
+    for (std::size_t r = 1; r < h; ++r) {
+      std::copy(ems, ems + hw, ems + r * hw);
+      std::copy(eg, eg + gw, eg + r * gw);
     }
   }
   net.gat.BackwardInput(edges, as.gat, as.d_eg, as.gat_grad, as.d_u);
@@ -511,9 +582,6 @@ GenerationResult GonModel::GenerateSequential(const nn::Matrix& m_init,
     prev_objective = obj;
   }
   result.metrics = std::move(m_cur);
-  EncodedState scored = context;
-  scored.m = result.metrics;
-  result.confidence = Discriminate(scored);
   return result;
 }
 
@@ -625,21 +693,11 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
     for (std::size_t a = 0; a < ids.size(); ++a) {
       const std::size_t i = ids[a];
       const double obj = std::log(std::max(scores(a, 0), nn::Tape::kLogEps));
-      const double* gp = grad.flat().data() + a * block;
-      double grad_scale = 0.0;
-      for (std::size_t j = 0; j < block; ++j) {
-        grad_scale = std::max(grad_scale, std::abs(gp[j]));
-      }
-      if (grad_scale < 1e-12) {
+      bool moved = false;
+      if (!AscentStep(grad.flat().data() + a * block, m_cur[i].flat().data(),
+                      block, lr, moved)) {
         active[i] = 0;
         continue;
-      }
-      bool moved = false;
-      double* mp = m_cur[i].flat().data();
-      for (std::size_t j = 0; j < block; ++j) {
-        const double delta = lr * gp[j] / grad_scale;
-        if (std::abs(delta) > 1e-9) moved = true;
-        mp[j] = std::clamp(mp[j] + delta, 0.0, 1.0);
       }
       ++results[i].steps;
       if (!moved || std::abs(obj - prev_obj[i]) < config_.generation_tol) {
@@ -664,13 +722,8 @@ std::vector<GenerationResult> GonModel::GenerateBatch(
     }
   }
 
-  // Final confidences: one stacked inference pass over the converged M*.
-  ws.m_ptrs.clear();
-  for (std::size_t i = 0; i < kTotal; ++i) ws.m_ptrs.push_back(&m_cur[i]);
-  ForwardInferenceBatch(ws.m_ptrs, contexts, ws.edges, ws.scores);
   for (std::size_t i = 0; i < kTotal; ++i) {
     results[i].metrics = std::move(m_cur[i]);
-    results[i].confidence = ws.scores[i];
   }
   return results;
 }

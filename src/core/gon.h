@@ -83,10 +83,12 @@ struct GonConfig {
   bool use_fast_path = true;
 };
 
+// The Eq.-1 ascent's output. It carries no D(M*, S, G): no decision
+// reads it, and a caller that wants it scores `metrics` with
+// DiscriminateBatch.
 struct GenerationResult {
-  nn::Matrix metrics;   // converged M*, [H x 9], normalized
-  double confidence = 0.0;  // D(M*, S, G)
-  int steps = 0;
+  nn::Matrix metrics;  // converged M*, [H x 9], normalized
+  int steps = 0;       // ascent steps taken
 };
 
 struct EpochStats {
@@ -122,16 +124,17 @@ class GonModel {
 
   // Eq. (1): ascends log D over the metrics matrix starting from
   // `m_init` (normalized [H x 9]); S, roles and adjacency come from
-  // `context`. Returns the converged metrics and their confidence.
+  // `context`. Returns the converged metrics and the step count.
   GenerationResult Generate(const nn::Matrix& m_init,
                             const EncodedState& context);
 
   // Batched Eq. (1): runs the input-space ascent for K candidates in one
   // stacked pass per step (candidates converge and drop out
-  // individually). The
-  // per-candidate trajectories are identical to sequential Generate
-  // calls. `inits` and `contexts` must have equal length; mixed host
-  // counts are bucketed by H and each bucket runs as one stacked ascent.
+  // individually). The per-candidate trajectories are identical to
+  // sequential Generate calls. `inits` and `contexts` must have equal
+  // length; mixed host counts are bucketed by H and each bucket runs as
+  // one stacked ascent. The call ends with the last ascent step: there is
+  // no scoring pass over the converged metrics.
   std::vector<GenerationResult> GenerateBatch(
       std::span<const nn::Matrix* const> inits,
       std::span<const EncodedState* const> contexts);
@@ -171,9 +174,8 @@ class GonModel {
   // [K x 1] per-state scores.
   nn::Value ForwardBatch(nn::Tape& tape, nn::Value m,
                          std::span<const EncodedState* const> ctxs);
-  // Tape-free stacked forward used by DiscriminateBatch and the final
-  // GenerateBatch confidence pass; `edges` holds the states' attention
-  // edges.
+  // Tape-free stacked forward used by DiscriminateBatch; `edges` holds
+  // the states' attention edges.
   void ForwardInferenceBatch(std::span<const nn::Matrix* const> ms,
                              std::span<const EncodedState* const> ctxs,
                              const nn::AttentionEdges& edges,

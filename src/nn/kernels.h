@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "nn/matrix.h"
+#include "nn/simd.h"
 
 namespace carol::nn {
 
@@ -40,9 +41,18 @@ inline void ApplyActivationInPlace(Matrix& m, FusedAct act) {
   switch (act) {
     case FusedAct::kNone:
       return;
-    case FusedAct::kRelu:
-      m.MapInPlaceFn(scalar_ops::Relu);
+    case FusedAct::kRelu: {
+      // Lanes are elements: v > 0 ? v : +0, as scalar_ops::Relu.
+      double* p = m.flat().data();
+      const std::size_t n = m.size();
+      std::size_t i = 0;
+      for (; i + simd::kLanes <= n; i += simd::kLanes) {
+        const simd::Vec v = simd::Load(p + i);
+        simd::Store(p + i, v > 0.0 ? v : simd::Vec{});
+      }
+      for (; i < n; ++i) p[i] = scalar_ops::Relu(p[i]);
       return;
+    }
     case FusedAct::kSigmoid:
       m.MapInPlaceFn(scalar_ops::Sigmoid);
       return;
@@ -64,10 +74,7 @@ inline void LinearForward(const Matrix& x, const Matrix& w, const Matrix& b,
   const double* bias = b.flat().data();
   double* od = out.flat().data();
   const std::size_t rows = out.rows(), cols = out.cols();
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* orow = od + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) orow[c] += bias[c];
-  }
+  for (std::size_t r = 0; r < rows; ++r) simd::Add(bias, od + r * cols, cols);
   ApplyActivationInPlace(out, act);
 }
 
@@ -83,22 +90,30 @@ inline void ActivationBackward(const Matrix& g, const Matrix& y, FusedAct act,
   const double* yp = y.flat().data();
   double* dp = dpre.flat().data();
   const std::size_t n = y.size();
+  // Elementwise, so vector lanes are elements and each lane evaluates the
+  // scalar expression of its tail loop.
+  auto sweep = [&](auto&& vec_op, auto&& scalar_op) {
+    std::size_t i = 0;
+    for (; i + simd::kLanes <= n; i += simd::kLanes) {
+      simd::Store(dp + i, vec_op(simd::Load(gp + i), simd::Load(yp + i)));
+    }
+    for (; i < n; ++i) dp[i] = scalar_op(gp[i], yp[i]);
+  };
   switch (act) {
     case FusedAct::kNone:
-      for (std::size_t i = 0; i < n; ++i) dp[i] = gp[i];
+      std::copy(gp, gp + n, dp);
       return;
     case FusedAct::kRelu:
-      for (std::size_t i = 0; i < n; ++i) dp[i] = yp[i] > 0.0 ? gp[i] : 0.0;
+      sweep([](simd::Vec gv, simd::Vec yv) { return yv > 0.0 ? gv : simd::Vec{}; },
+            [](double gv, double yv) { return yv > 0.0 ? gv : 0.0; });
       return;
     case FusedAct::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) {
-        dp[i] = gp[i] * yp[i] * (1.0 - yp[i]);
-      }
+      sweep([](simd::Vec gv, simd::Vec yv) { return gv * yv * (1.0 - yv); },
+            [](double gv, double yv) { return gv * yv * (1.0 - yv); });
       return;
     case FusedAct::kTanh:
-      for (std::size_t i = 0; i < n; ++i) {
-        dp[i] = gp[i] * (1.0 - yp[i] * yp[i]);
-      }
+      sweep([](simd::Vec gv, simd::Vec yv) { return gv * (1.0 - yv * yv); },
+            [](double gv, double yv) { return gv * (1.0 - yv * yv); });
       return;
   }
   throw std::logic_error("ActivationBackward: unknown activation");

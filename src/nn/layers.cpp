@@ -5,7 +5,91 @@
 #include <limits>
 #include <stdexcept>
 
+#include "nn/simd.h"
+
 namespace carol::nn {
+
+namespace {
+
+// Dot products of attention edges, computed in edge lanes: each queued
+// edge is one lane, and each lane sums x_e[k] * y_e[k] over k ascending
+// from +0 — the order of the scalar dot product, so every result is
+// bit-identical to it. A lane's operands are two rows of width `width`.
+class EdgeDots {
+ public:
+  explicit EdgeDots(std::size_t width) : width_(width) {}
+
+  void Add(const double* x, const double* y, double* out) {
+    x_[count_] = x;
+    y_[count_] = y;
+    out_[count_] = out;
+    if (++count_ == simd::kLanes) Flush();
+  }
+
+  // Computes the queued dots.
+  void Flush() {
+    if (count_ == 0) return;
+    for (std::size_t l = count_; l < simd::kLanes; ++l) {
+      x_[l] = x_[0];  // idle lanes recompute lane 0; their sums are dropped
+      y_[l] = y_[0];
+    }
+    simd::Vec acc{};
+    for (std::size_t kk = 0; kk < width_; ++kk) {
+      simd::Vec xv, yv;
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        xv[l] = x_[l][kk];
+        yv[l] = y_[l][kk];
+      }
+      acc += xv * yv;
+    }
+    for (std::size_t l = 0; l < count_; ++l) *out_[l] = acc[l];
+    count_ = 0;
+  }
+
+ private:
+  std::size_t width_;
+  std::size_t count_ = 0;
+  const double* x_[simd::kLanes];
+  const double* y_[simd::kLanes];
+  double* out_[simd::kLanes];
+};
+
+// out[j] = sum of w * row[j] over the terms (w, row) that `terms` yields,
+// in its order, from +0 and skipping w == 0, for j < width: the
+// accumulation MatMulImpl performs for one output row. Lanes are columns,
+// and each column block accumulates in registers.
+template <class Terms>
+void WeightedRowSum(std::size_t width, const Terms& terms, double* out) {
+  using simd::Vec;
+  constexpr std::size_t kL = simd::kLanes;
+  std::size_t j = 0;
+  for (; j + 2 * kL <= width; j += 2 * kL) {
+    Vec a0{}, a1{};
+    terms([&](double w, const double* row) {
+      if (w == 0.0) return;
+      a0 += w * simd::Load(row + j);
+      a1 += w * simd::Load(row + j + kL);
+    });
+    simd::Store(out + j, a0);
+    simd::Store(out + j + kL, a1);
+  }
+  for (; j + kL <= width; j += kL) {
+    Vec a{};
+    terms([&](double w, const double* row) {
+      if (w != 0.0) a += w * simd::Load(row + j);
+    });
+    simd::Store(out + j, a);
+  }
+  for (; j < width; ++j) {
+    double a = 0.0;
+    terms([&](double w, const double* row) {
+      if (w != 0.0) a += w * row[j];
+    });
+    out[j] = a;
+  }
+}
+
+}  // namespace
 
 std::size_t Module::ParameterCount() {
   std::size_t total = 0;
@@ -102,11 +186,12 @@ void Dense::ForwardInference(const Matrix& x, Matrix& out) const {
 void Dense::BackwardInput(const Matrix& y, const Matrix& d_y, Matrix& d_pre,
                           Matrix& w_t, Matrix& d_x) const {
   // The fused Linear op's x gradient: dX (zeroed) += dpre * W^T through
-  // a materialized transpose, so the blocked kernel skips dpre's zeros.
+  // a materialized transpose, so the kernel skips dpre's zero row groups.
+  // MatMulInto sums from +0, exactly as the accumulation into a zeroed
+  // buffer does.
   ActivationBackward(d_y, y, ToFusedAct(act_), d_pre);
   Matrix::TransposeInto(w_.value, w_t);
-  d_x.AssignZeros(d_pre.rows(), in_);
-  Matrix::MatMulAccum(d_pre, w_t, d_x);
+  Matrix::MatMulInto(d_pre, w_t, d_x);
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
@@ -192,7 +277,22 @@ void AttentionEdges::Build(std::span<const Matrix* const> adjacencies) {
   for (const Matrix* adj : adjacencies) {
     for (std::size_t i = 0; i < h; ++i, ++r) {
       const double* arow = adj->flat().data() + i * h;
-      for (std::size_t j = 0; j < h; ++j) {
+      // Adjacency rows are almost all zeros: test a vector of entries at
+      // a time and only scan the blocks that hold an edge or the
+      // self-loop.
+      std::size_t j0 = 0;
+      for (; j0 + simd::kLanes <= h; j0 += simd::kLanes) {
+        const auto nonzero = simd::Load(arow + j0) != simd::Vec{};
+        bool any = i >= j0 && i < j0 + simd::kLanes;
+        for (std::size_t l = 0; l < simd::kLanes; ++l) any |= nonzero[l] != 0;
+        if (!any) continue;
+        for (std::size_t j = j0; j < j0 + simd::kLanes; ++j) {
+          if (j == i || arow[j] != 0.0) {
+            cols_.push_back(static_cast<std::uint32_t>(j));
+          }
+        }
+      }
+      for (std::size_t j = j0; j < h; ++j) {
         if (j == i || arow[j] != 0.0) {
           cols_.push_back(static_cast<std::uint32_t>(j));
         }
@@ -321,55 +421,60 @@ void GraphAttention::ForwardSparse(const Matrix& u,
   const std::size_t row0 = first_state * h;
   const std::size_t e0 = row_ptr[row0];
   act.attn.resize(row_ptr[row0 + n * h] - e0);
-  act.out.AssignZeros(n * h, g);
+  act.out.Resize(n * h, g);
   const double* hid = act.hidden.flat().data();
   const double* q = act.query.flat().data();
   double* out = act.out.flat().data();
+  double* attn = act.attn.data();
+  // Scores: each is the ascending-k dot product of MatMul(q_s, hid_s^T),
+  // computed in edge lanes.
+  EdgeDots dots(g);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* hid_s = hid + s * h * g;
+    for (std::size_t r = s * h; r < (s + 1) * h; ++r) {
+      for (std::size_t e = row_ptr[row0 + r]; e < row_ptr[row0 + r + 1];
+           ++e) {
+        dots.Add(q + r * g, hid_s + cols[e] * g, attn + (e - e0));
+      }
+    }
+  }
+  dots.Flush();
   for (std::size_t s = 0; s < n; ++s) {
     const double* hid_s = hid + s * h * g;
     for (std::size_t r = s * h; r < (s + 1) * h; ++r) {
       const std::size_t eb = row_ptr[row0 + r], ee = row_ptr[row0 + r + 1];
       const std::uint32_t* col = cols.data() + eb;
-      double* a = act.attn.data() + (eb - e0);
+      double* a = attn + (eb - e0);
       const std::size_t deg = ee - eb;
-      // Scores: each is the ascending-k dot product of the blocked
-      // MatMul(q_s, hid_s^T), including its skip of zero q entries; the
-      // running max follows the dense softmax's column order.
-      const double* qrow = q + r * g;
+      double* orow = out + r * g;
+      // The running max follows the dense softmax's column order.
       double mx = -std::numeric_limits<double>::infinity();
-      for (std::size_t e = 0; e < deg; ++e) {
-        const double* hrow = hid_s + col[e] * g;
-        double acc = 0.0;
-        for (std::size_t kk = 0; kk < g; ++kk) {
-          const double qk = qrow[kk];
-          if (qk == 0.0) continue;
-          acc += qk * hrow[kk];
-        }
-        a[e] = acc;
-        mx = std::max(mx, acc);
-      }
+      for (std::size_t e = 0; e < deg; ++e) mx = std::max(mx, a[e]);
       if (!std::isfinite(mx)) {  // MaskedRowSoftmaxForward's zero row
         std::fill(a, a + deg, 0.0);
-        continue;
+      } else {
+        double denom = 0.0;
+        for (std::size_t e = 0; e < deg; ++e) {
+          a[e] = std::exp(a[e] - mx);
+          denom += a[e];
+        }
+        for (std::size_t e = 0; e < deg; ++e) a[e] /= denom;
       }
-      double denom = 0.0;
-      for (std::size_t e = 0; e < deg; ++e) {
-        a[e] = std::exp(a[e] - mx);
-        denom += a[e];
-      }
-      for (std::size_t e = 0; e < deg; ++e) a[e] /= denom;
       // Aggregation: MatMul(attn, hid_s) skips exact-zero weights, which
       // includes weights that underflowed.
-      double* orow = out + r * g;
-      for (std::size_t e = 0; e < deg; ++e) {
-        const double w = a[e];
-        if (w == 0.0) continue;
-        const double* hrow = hid_s + col[e] * g;
-        for (std::size_t j = 0; j < g; ++j) orow[j] += w * hrow[j];
+      WeightedRowSum(
+          g,
+          [&](auto&& add) {
+            for (std::size_t e = 0; e < deg; ++e) {
+              add(a[e], hid_s + col[e] * g);
+            }
+          },
+          orow);
+      for (std::size_t j = 0; j < g; ++j) {
+        orow[j] = scalar_ops::Sigmoid(orow[j]);
       }
     }
   }
-  ApplyActivationInPlace(act.out, FusedAct::kSigmoid);
 }
 
 void GraphAttention::BackwardInput(const AttentionEdges& edges,
@@ -396,70 +501,94 @@ void GraphAttention::BackwardInput(const AttentionEdges& edges,
   // query MatMul and LinearTanh. States write disjoint rows, so only the
   // order within a state matters, and it is reproduced below.
   ActivationBackward(d_out, act.out, FusedAct::kSigmoid, ws.d_agg);
-  ws.d_hidden.AssignZeros(k * h, g);
-  ws.d_query.AssignZeros(k * h, g);
+  const std::size_t rows = k * h;
+  ws.d_hidden.Resize(rows, g);
+  ws.d_hid_t.Resize(rows, g);
+  ws.d_query.Resize(rows, g);
   ws.d_attn.resize(cols.size());
   const double* d_agg = ws.d_agg.flat().data();
   double* d_hidden = ws.d_hidden.flat().data();
+  double* d_hid_t = ws.d_hid_t.flat().data();
   double* d_query = ws.d_query.flat().data();
   double* d_attn = ws.d_attn.data();
-  for (std::size_t s = 0; s < k; ++s) {
-    const std::size_t base = s * h;
-    // MatMul(attn, hid_s): d_attn = d_agg hid_s^T (skipping zero d_agg
-    // entries) and d_hid_s += attn^T d_agg (skipping zero weights), the
-    // latter accumulated over source rows in ascending order.
-    for (std::size_t r = base; r < base + h; ++r) {
-      const double* grow = d_agg + r * g;
-      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const double* hrow = hid + (base + cols[e]) * g;
-        double acc = 0.0;
-        for (std::size_t kk = 0; kk < g; ++kk) {
-          if (grow[kk] == 0.0) continue;
-          acc += grow[kk] * hrow[kk];
-        }
-        d_attn[e] = acc;
-      }
-      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const double w = attn[e];
-        if (w == 0.0) continue;
-        double* drow = d_hidden + (base + cols[e]) * g;
-        for (std::size_t j = 0; j < g; ++j) drow[j] += w * grow[j];
-      }
+  // The gradients that land on hid_s rows sum over SOURCE rows in
+  // ascending order. The edges by destination row (CSC), sources
+  // ascending, let each destination row accumulate in registers.
+  ws.in_ptr.assign(rows + 1, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t base = r - r % h;
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      ++ws.in_ptr[base + cols[e] + 1];
     }
-    // MaskedRowSoftmax: d_scores = y .* (d_attn - <d_attn, y>), in place.
-    for (std::size_t r = base; r < base + h; ++r) {
-      double dot = 0.0;
-      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        dot += d_attn[e] * attn[e];
-      }
-      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        d_attn[e] = attn[e] * (d_attn[e] - dot);
-      }
+  }
+  for (std::size_t c = 0; c < rows; ++c) ws.in_ptr[c + 1] += ws.in_ptr[c];
+  ws.in_src.resize(cols.size());
+  ws.in_edge.resize(cols.size());
+  ws.in_fill.assign(ws.in_ptr.begin(), ws.in_ptr.end() - 1);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t base = r - r % h;
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      const std::size_t slot = ws.in_fill[base + cols[e]]++;
+      ws.in_src[slot] = r;
+      ws.in_edge[slot] = e;
     }
-    // MatMul(q_s, hid_s^T): d_q_s = d_scores hid_s (skipping zero
-    // d_scores), and the transposed operand's gradient q_s^T d_scores
-    // (skipping zero q entries) forms in its own buffer before the
-    // Transpose node adds it onto d_hid_s.
-    ws.d_hid_t.AssignZeros(h, g);
-    double* d_hid_t = ws.d_hid_t.flat().data();
-    for (std::size_t r = base; r < base + h; ++r) {
-      const double* qrow = q + r * g;
-      double* dqrow = d_query + r * g;
-      for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-        const double ds = d_attn[e];
-        if (ds != 0.0) {
-          const double* hrow = hid + (base + cols[e]) * g;
-          for (std::size_t j = 0; j < g; ++j) dqrow[j] += ds * hrow[j];
-        }
-        double* trow = d_hid_t + cols[e] * g;
-        for (std::size_t t = 0; t < g; ++t) {
-          if (qrow[t] == 0.0) continue;
-          trow[t] += qrow[t] * ds;
-        }
-      }
+  }
+  // Sums over the edges into destination row c: w(e) * row(r) per edge e
+  // from source row r, sources ascending.
+  auto into_row = [&](std::size_t c, auto&& weight, const double* src,
+                      double* out) {
+    WeightedRowSum(
+        g,
+        [&](auto&& add) {
+          for (std::size_t t = ws.in_ptr[c]; t < ws.in_ptr[c + 1]; ++t) {
+            add(weight(ws.in_edge[t]), src + ws.in_src[t] * g);
+          }
+        },
+        out + c * g);
+  };
+
+  // MatMul(attn, hid_s): d_attn = d_agg hid_s^T, in edge lanes, and
+  // d_hid_s = attn^T d_agg (zero weights skipped).
+  EdgeDots dots(g);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t base = r - r % h;
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      dots.Add(d_agg + r * g, hid + (base + cols[e]) * g, d_attn + e);
     }
-    double* dh_s = d_hidden + base * g;
-    for (std::size_t i = 0; i < h * g; ++i) dh_s[i] += d_hid_t[i];
+  }
+  dots.Flush();
+  for (std::size_t c = 0; c < rows; ++c) {
+    into_row(c, [&](std::size_t e) { return attn[e]; }, d_agg, d_hidden);
+  }
+  // MaskedRowSoftmax: d_scores = y .* (d_attn - <d_attn, y>), in place.
+  for (std::size_t r = 0; r < rows; ++r) {
+    double dot = 0.0;
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      dot += d_attn[e] * attn[e];
+    }
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      d_attn[e] = attn[e] * (d_attn[e] - dot);
+    }
+  }
+  // MatMul(q_s, hid_s^T): d_q_s = d_scores hid_s (zero d_scores skipped),
+  // and the transposed operand's gradient q_s^T d_scores forms in its
+  // own buffer before the Transpose node adds it onto d_hid_s. The tape
+  // skips zero q entries instead of zero d_scores; either way a skipped
+  // term is ±0 added to a sum that started at +0, which changes nothing.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t base = r - r % h;
+    WeightedRowSum(
+        g,
+        [&](auto&& add) {
+          for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+            add(d_attn[e], hid + (base + cols[e]) * g);
+          }
+        },
+        d_query + r * g);
+  }
+  for (std::size_t c = 0; c < rows; ++c) {
+    into_row(c, [&](std::size_t e) { return d_attn[e]; }, q, d_hid_t);
+    simd::Add(d_hid_t + c * g, d_hidden + c * g, g);
   }
   // query = hidden Wq: its gradient lands on top of the slice gradients.
   Matrix::TransposeInto(wq_.value, ws.w_t);
@@ -467,8 +596,7 @@ void GraphAttention::BackwardInput(const AttentionEdges& edges,
   // hidden = tanh(u W + b): the fused Linear op's x gradient.
   ActivationBackward(ws.d_hidden, act.hidden, FusedAct::kTanh, ws.d_pre);
   Matrix::TransposeInto(w_.value, ws.w_t);
-  d_u.AssignZeros(k * h, in_);
-  Matrix::MatMulAccum(ws.d_pre, ws.w_t, d_u);
+  Matrix::MatMulInto(ws.d_pre, ws.w_t, d_u);
 }
 
 void GraphAttention::ForwardInferenceBatch(const Matrix& u,

@@ -229,6 +229,9 @@ class GraphAttention : public Module {
   struct GradScratch {
     Matrix d_agg, d_hidden, d_query, d_hid_t, d_pre, w_t;
     std::vector<double> d_attn;
+    // The edges by destination row: [in_ptr[c], in_ptr[c + 1]) index
+    // in_src (source row) and in_edge (edge), sources ascending.
+    std::vector<std::size_t> in_ptr, in_fill, in_src, in_edge;
   };
   // Input gradient of ForwardSparse (weights held constant) over all of
   // `edges`' states: d_u for the output gradient `d_out`. Each buffer

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+
+#include "nn/simd.h"
 
 namespace carol::nn {
 
@@ -20,44 +23,192 @@ void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
   }
 }
 
-// Blocked i-k-j product kernel: out += a * b over the flat row-major
-// buffers. k is consumed in index order within and across blocks, so the
-// per-element accumulation order — and therefore the floating-point
-// result — is identical to the unblocked i-k-j loop. Full kTileJ-column
-// tiles of an output row accumulate in a local array (registers) across
-// the k block instead of round-tripping through memory per k; the
-// per-element sequence of operations is unchanged.
+// The one product kernel: out (+)= a * b over the flat row-major buffers
+// (a [m x k], b [k x n]), as kTileR-row x kTileJ-column register tiles of
+// vector accumulators.
+//
+// Every output element is one accumulator that sums its k terms in
+// ascending order, starting from +0 (`accumulate` false) or from its
+// destination value, across k blocks too. Tile rows and vector lanes are
+// independent outputs, never a reduction index, so blocking, tiling and
+// vector width change no bit: the result is the textbook i-k-j loop's.
+//
+// Zero skip: a k is skipped when all rows of its group have a(i, k) == 0
+// (dead ReLU units leave whole zero groups). A row that is zero at a
+// non-skipped k adds a(i, k) * b(k, j) = ±0, which changes no value when
+// b(k, j) is finite: an accumulator that starts at +0 never becomes −0
+// under round-to-nearest, and x + (±0) == x for every other x. So for
+// finite b and no −0 destination the skip is invisible and the result is
+// the unskipped ascending sum (src/nn/README.md).
+//
+// Columns past the last full tile run through a zero-padded copy of b's
+// tail columns, and only the valid columns are stored, so there is no
+// scalar remainder loop.
 constexpr std::size_t kBlockK = 64;
 constexpr std::size_t kTileJ = 16;
+constexpr std::size_t kTileR = 4;
+constexpr std::size_t kTileV = kTileJ / simd::kLanes;
+static_assert(kTileJ % simd::kLanes == 0);
 
-void MatMulAccumImpl(const double* a, const double* b, double* out,
-                     std::size_t m, std::size_t k, std::size_t n) {
+// The k offsets (from the block start) of one row group's k block where
+// some row of the group is nonzero, ascending.
+struct KList {
+  std::size_t count = 0;
+  std::uint32_t k[kBlockK];
+};
+
+template <std::size_t R>
+void NonzeroColumns(const double* a, std::size_t lda, std::size_t kb,
+                    std::size_t kend, KList& list) {
+  using simd::Vec;
+  constexpr std::size_t kL = simd::kLanes;
+  std::size_t count = 0;
+  std::size_t kk = kb;
+  for (; kk + kL <= kend; kk += kL) {
+    auto nonzero = simd::Load(a + kk) != Vec{};
+    for (std::size_t r = 1; r < R; ++r) {
+      nonzero |= simd::Load(a + r * lda + kk) != Vec{};
+    }
+    for (std::size_t l = 0; l < kL; ++l) {
+      list.k[count] = static_cast<std::uint32_t>(kk + l - kb);
+      count += nonzero[l] != 0 ? 1 : 0;
+    }
+  }
+  for (; kk < kend; ++kk) {
+    bool any = false;
+    for (std::size_t r = 0; r < R; ++r) any |= a[r * lda + kk] != 0.0;
+    list.k[count] = static_cast<std::uint32_t>(kk - kb);
+    count += any ? 1 : 0;
+  }
+  list.count = count;
+}
+
+// out rows [0, R) x columns [0, cols) (+)= a rows [0, R) * b over the
+// listed k, in V vectors per row, where a and b point at the block's
+// first column / row and `cols` <= V * kLanes; b must be readable for
+// V * kLanes columns of every listed row.
+template <std::size_t R, std::size_t V>
+void MultiplyTile(const KList& list, const double* a, std::size_t lda,
+                  const double* b, std::size_t ldb, double* out,
+                  std::size_t ldo, std::size_t cols, bool load) {
+  using simd::Vec;
+  constexpr std::size_t kL = simd::kLanes;
+  constexpr std::size_t kCols = V * kL;
+  Vec acc[R][V];
+  for (std::size_t r = 0; r < R; ++r) {
+    double* orow = out + r * ldo;
+    if (!load) {
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] = Vec{};
+    } else if (cols == kCols) {
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = simd::Load(orow + v * kL);
+      }
+    } else {
+      double tmp[kCols] = {};
+      std::copy(orow, orow + cols, tmp);
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = simd::Load(tmp + v * kL);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < list.count; ++t) {
+    const std::size_t kk = list.k[t];
+    const double* brow = b + kk * ldb;
+    Vec bv[V];
+    for (std::size_t v = 0; v < V; ++v) bv[v] = simd::Load(brow + v * kL);
+    for (std::size_t r = 0; r < R; ++r) {
+      const double ar = a[r * lda + kk];
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += ar * bv[v];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    double* orow = out + r * ldo;
+    if (cols == kCols) {
+      for (std::size_t v = 0; v < V; ++v) {
+        simd::Store(orow + v * kL, acc[r][v]);
+      }
+    } else {
+      double tmp[kCols];
+      for (std::size_t v = 0; v < V; ++v) {
+        simd::Store(tmp + v * kL, acc[r][v]);
+      }
+      std::copy(tmp, tmp + cols, orow);
+    }
+  }
+}
+
+// MultiplyTile for the last `cols` < kTileJ columns, with the fewest
+// vectors that cover them.
+template <std::size_t R, std::size_t V = 1>
+void MultiplyTailTile(const KList& list, const double* a, std::size_t lda,
+                      const double* b, std::size_t ldb, double* out,
+                      std::size_t ldo, std::size_t cols, bool load) {
+  if constexpr (V < kTileV) {
+    if (cols > V * simd::kLanes) {
+      MultiplyTailTile<R, V + 1>(list, a, lda, b, ldb, out, ldo, cols, load);
+      return;
+    }
+  }
+  MultiplyTile<R, V>(list, a, lda, b, ldb, out, ldo, cols, load);
+}
+
+template <std::size_t R>
+void MultiplyRowGroup(const double* a, const double* b, const double* bpad,
+                      double* out, std::size_t k, std::size_t n,
+                      std::size_t kb, std::size_t kend, bool load) {
+  KList list;
+  NonzeroColumns<R>(a, k, kb, kend, list);
+  if (list.count == 0 && load) return;  // the whole group skips this block
+  const double* ab = a + kb;
   const std::size_t tiled = n - n % kTileJ;
+  for (std::size_t jb = 0; jb < tiled; jb += kTileJ) {
+    MultiplyTile<R, kTileV>(list, ab, k, b + kb * n + jb, n, out + jb, n,
+                            kTileJ, load);
+  }
+  if (tiled < n) {
+    MultiplyTailTile<R>(list, ab, k, bpad, kTileJ, out + tiled, n, n - tiled,
+                        load);
+  }
+}
+
+void MatMulImpl(const double* a, const double* b, double* out,
+                std::size_t m, std::size_t k, std::size_t n,
+                bool accumulate) {
+  if (k == 0) {
+    if (!accumulate) std::fill(out, out + m * n, 0.0);
+    return;
+  }
+  const std::size_t tiled = n - n % kTileJ;
+  double bpad[kBlockK * kTileJ];
   for (std::size_t kb = 0; kb < k; kb += kBlockK) {
     const std::size_t kend = std::min(kb + kBlockK, k);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double* orow = out + i * n;
-      for (std::size_t jb = 0; jb < tiled; jb += kTileJ) {
-        double acc[kTileJ];
-        for (std::size_t j = 0; j < kTileJ; ++j) acc[j] = orow[jb + j];
-        for (std::size_t kk = kb; kk < kend; ++kk) {
-          const double aik = arow[kk];
-          // ReLU activations make `a` ~half exact zeros on the GON hot
-          // path; skipping preserves the result (modulo signed zeros).
-          if (aik == 0.0) continue;
-          const double* brow = b + kk * n + jb;
-          for (std::size_t j = 0; j < kTileJ; ++j) acc[j] += aik * brow[j];
-        }
-        for (std::size_t j = 0; j < kTileJ; ++j) orow[jb + j] = acc[j];
-      }
-      if (tiled == n) continue;
+    if (tiled < n) {
+      std::fill(bpad, bpad + (kend - kb) * kTileJ, 0.0);
       for (std::size_t kk = kb; kk < kend; ++kk) {
-        const double aik = arow[kk];
-        if (aik == 0.0) continue;
-        const double* brow = b + kk * n;
-        for (std::size_t j = tiled; j < n; ++j) orow[j] += aik * brow[j];
+        std::copy(b + kk * n + tiled, b + kk * n + n,
+                  bpad + (kk - kb) * kTileJ);
       }
+    }
+    const bool load = accumulate || kb > 0;
+    std::size_t i = 0;
+    for (; i + kTileR <= m; i += kTileR) {
+      MultiplyRowGroup<kTileR>(a + i * k, b, bpad, out + i * n, k, n, kb,
+                               kend, load);
+    }
+    const double* ai = a + i * k;
+    double* oi = out + i * n;
+    switch (m - i) {
+      case 3:
+        MultiplyRowGroup<3>(ai, b, bpad, oi, k, n, kb, kend, load);
+        break;
+      case 2:
+        MultiplyRowGroup<2>(ai, b, bpad, oi, k, n, kb, kend, load);
+        break;
+      case 1:
+        MultiplyRowGroup<1>(ai, b, bpad, oi, k, n, kb, kend, load);
+        break;
+      default:
+        break;
     }
   }
 }
@@ -272,9 +423,9 @@ void Matrix::MatMulInto(const Matrix& a, const Matrix& b, Matrix& out) {
   if (&out == &a || &out == &b) {
     throw std::invalid_argument("MatMulInto: out aliases an operand");
   }
-  out.AssignZeros(a.rows_, b.cols_);
-  MatMulAccumImpl(a.data_.data(), b.data_.data(), out.data_.data(),
-                  a.rows_, a.cols_, b.cols_);
+  out.Resize(a.rows_, b.cols_);
+  MatMulImpl(a.data_.data(), b.data_.data(), out.data_.data(), a.rows_,
+             a.cols_, b.cols_, /*accumulate=*/false);
 }
 
 void Matrix::MatMulAccum(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -284,8 +435,8 @@ void Matrix::MatMulAccum(const Matrix& a, const Matrix& b, Matrix& out) {
   if (&out == &a || &out == &b) {
     throw std::invalid_argument("MatMulAccum: out aliases an operand");
   }
-  MatMulAccumImpl(a.data_.data(), b.data_.data(), out.data_.data(),
-                  a.rows_, a.cols_, b.cols_);
+  MatMulImpl(a.data_.data(), b.data_.data(), out.data_.data(), a.rows_,
+             a.cols_, b.cols_, /*accumulate=*/true);
 }
 
 void Matrix::MatMulTransAAccum(const Matrix& a, const Matrix& b,
@@ -306,7 +457,7 @@ void Matrix::MatMulTransAAccum(const Matrix& a, const Matrix& b,
     const double* brow = pb + i * n;
     for (std::size_t t = 0; t < k; ++t) {
       const double a_it = arow[t];
-      if (a_it == 0.0) continue;  // ReLU sparsity (see MatMulAccumImpl)
+      if (a_it == 0.0) continue;  // ReLU sparsity (see MatMulImpl)
       double* orow = po + t * n;
       for (std::size_t j = 0; j < n; ++j) orow[j] += a_it * brow[j];
     }

@@ -4,9 +4,11 @@
 // enough that a straightforward dense CPU implementation is faithful.
 //
 // Hot-path design (see src/nn/README.md):
-//   * MatMul runs a cache-blocked i-k-j kernel over the flat row-major
-//     buffers; the blocked kernel accumulates over k in index order, so it
-//     is bitwise-identical to the textbook i-k-j loop.
+//   * MatMul runs one kernel of register-tiled vector accumulators over
+//     the flat row-major buffers. Every output element sums over k in
+//     index order, so it is bitwise-identical to the textbook i-k-j loop
+//     whenever the right operand is finite (its zero skip relies on
+//     that; see src/nn/README.md).
 //   * The `*Into` / `*Accum` variants write into caller-owned destinations
 //     so per-interval code (the autograd tape, the GON inference
 //     workspace) can recycle buffers instead of allocating per op.

@@ -1,6 +1,7 @@
 #include "nn/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -10,6 +11,25 @@
 #include "common/binio.h"
 
 namespace carol::nn {
+
+namespace {
+
+bool AllFinite(const std::vector<double>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+// Writes staged values into the module's parameters; the caller has
+// checked every name, shape and value first.
+void Commit(const std::vector<Parameter*>& params,
+            const std::vector<std::vector<double>>& staged) {
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(),
+              params[i]->value.flat().begin());
+  }
+}
+
+}  // namespace
 
 void SaveParameters(Module& module, const std::string& path) {
   std::ofstream out(path);
@@ -36,21 +56,34 @@ void LoadParameters(Module& module, const std::string& path) {
   }
   std::size_t count = 0;
   in >> count;
-  auto params = module.Parameters();
+  const auto params = module.Parameters();
   if (count != params.size()) {
     throw std::runtime_error("LoadParameters: parameter count mismatch");
   }
-  for (Parameter* p : params) {
+  // The whole file is parsed and checked before any weight changes, so a
+  // bad file leaves the module exactly as it was.
+  std::vector<std::vector<double>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Parameter* p = params[i];
     std::string name;
     std::size_t rows = 0, cols = 0;
     in >> name >> rows >> cols;
-    if (name != p->name || rows != p->value.rows() ||
+    if (!in || name != p->name || rows != p->value.rows() ||
         cols != p->value.cols()) {
       throw std::runtime_error("LoadParameters: mismatch at " + p->name);
     }
-    for (double& v : p->value.flat()) in >> v;
+    staged[i].resize(p->value.size());
+    for (double& v : staged[i]) in >> v;
+    if (!in) {
+      throw std::runtime_error("LoadParameters: truncated file at " +
+                               p->name);
+    }
+    if (!AllFinite(staged[i])) {
+      throw std::runtime_error("LoadParameters: non-finite value in " +
+                               p->name);
+    }
   }
-  if (!in) throw std::runtime_error("LoadParameters: truncated file");
+  Commit(params, staged);
 }
 
 void SaveParametersBinary(Module& module, std::ostream& out) {
@@ -70,13 +103,17 @@ void SaveParametersBinary(Module& module, std::ostream& out) {
 void LoadParametersBinary(Module& module, std::istream& in) {
   common::BinaryReader r(in);
   r.Header("carol-params-bin", 1);
-  auto params = module.Parameters();
+  const auto params = module.Parameters();
   const std::uint64_t count = r.U64();
   if (count != params.size()) {
     throw common::BinaryFormatError(
         "LoadParametersBinary: parameter count mismatch");
   }
-  for (Parameter* p : params) {
+  // Staged and checked in full before any weight changes (see
+  // LoadParameters).
+  std::vector<std::vector<double>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Parameter* p = params[i];
     const std::string name = r.String();
     const std::uint64_t rows = r.U64();
     const std::uint64_t cols = r.U64();
@@ -85,13 +122,17 @@ void LoadParametersBinary(Module& module, std::istream& in) {
       throw common::BinaryFormatError("LoadParametersBinary: mismatch at " +
                                       p->name);
     }
-    const std::vector<double> values = r.Doubles();
-    if (values.size() != p->value.flat().size()) {
+    staged[i] = r.Doubles();
+    if (staged[i].size() != p->value.size()) {
       throw common::BinaryFormatError(
           "LoadParametersBinary: element count mismatch at " + p->name);
     }
-    std::copy(values.begin(), values.end(), p->value.flat().begin());
+    if (!AllFinite(staged[i])) {
+      throw common::BinaryFormatError(
+          "LoadParametersBinary: non-finite value in " + p->name);
+    }
   }
+  Commit(params, staged);
 }
 
 void CopyParameters(Module& from, Module& to) {

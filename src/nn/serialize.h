@@ -20,7 +20,12 @@ namespace carol::nn {
 void SaveParameters(Module& module, const std::string& path);
 
 // Loads parameters into `module`. Names, order and shapes must match what
-// SaveParameters wrote; throws std::runtime_error otherwise.
+// SaveParameters wrote, and every value must be finite; throws
+// std::runtime_error (naming the parameter) otherwise. Loading is
+// all-or-nothing: the file is parsed and checked in full before any
+// weight is written, so a failed load leaves the module unchanged. The
+// finiteness check is what the nn kernels' zero skips rely on
+// (src/nn/README.md).
 void LoadParameters(Module& module, const std::string& path);
 
 // Binary parameter checkpoints ("carol-params-bin" v1): doubles are
@@ -28,8 +33,9 @@ void LoadParameters(Module& module, const std::string& path);
 // bit-exact — the property the serving layer's snapshot/restore
 // bit-identity guarantee rests on (the text format above goes through
 // decimal and is only exact to 17 significant digits). Same strict
-// name/order/shape matching as the text loaders; the reader throws
-// common::BinaryFormatError on foreign or truncated input.
+// name/order/shape matching, finiteness check and all-or-nothing
+// loading as the text loader; the reader throws common::BinaryFormatError
+// on foreign, truncated or non-finite input.
 void SaveParametersBinary(Module& module, std::ostream& out);
 void LoadParametersBinary(Module& module, std::istream& in);
 

@@ -59,11 +59,9 @@ Topology Topology::FromAssignment(const std::vector<NodeId>& assignment) {
   return t;
 }
 
-void Topology::CheckNode(NodeId node, const char* op) const {
-  if (node < 0 || node >= num_nodes()) {
-    throw std::out_of_range(std::string(op) + ": node " +
-                            std::to_string(node) + " out of range");
-  }
+void Topology::ThrowOutOfRange(NodeId node, const char* op) {
+  throw std::out_of_range(std::string(op) + ": node " +
+                          std::to_string(node) + " out of range");
 }
 
 int Topology::broker_count() const {
@@ -72,11 +70,6 @@ int Topology::broker_count() const {
     if (assignment_[static_cast<std::size_t>(i)] == i) ++count;
   }
   return count;
-}
-
-bool Topology::is_broker(NodeId node) const {
-  CheckNode(node, "is_broker");
-  return assignment_[static_cast<std::size_t>(node)] == node;
 }
 
 std::vector<NodeId> Topology::brokers() const {
@@ -93,11 +86,6 @@ std::vector<NodeId> Topology::workers() const {
     if (assignment_[static_cast<std::size_t>(i)] != i) out.push_back(i);
   }
   return out;
-}
-
-NodeId Topology::broker_of(NodeId node) const {
-  CheckNode(node, "broker_of");
-  return assignment_[static_cast<std::size_t>(node)];
 }
 
 std::vector<NodeId> Topology::workers_of(NodeId broker) const {

@@ -35,12 +35,21 @@ class Topology {
   int broker_count() const;
   int worker_count() const { return num_nodes() - broker_count(); }
 
-  bool is_broker(NodeId node) const;
+  // Inline: the sim kernel and the node-shift search call these two in
+  // their innermost loops. Both throw std::out_of_range for a node outside
+  // [0, num_nodes()).
+  bool is_broker(NodeId node) const {
+    CheckNode(node, "is_broker");
+    return assignment_[static_cast<std::size_t>(node)] == node;
+  }
   // Sorted list of broker ids.
   std::vector<NodeId> brokers() const;
   std::vector<NodeId> workers() const;
   // Broker managing `node`; for a broker returns the node itself.
-  NodeId broker_of(NodeId node) const;
+  NodeId broker_of(NodeId node) const {
+    CheckNode(node, "broker_of");
+    return assignment_[static_cast<std::size_t>(node)];
+  }
   std::vector<NodeId> workers_of(NodeId broker) const;
   // LEI index of a node = position of its broker in brokers().
   int lei_of(NodeId node) const;
@@ -96,7 +105,13 @@ class Topology {
   std::string ToString() const;
 
  private:
-  void CheckNode(NodeId node, const char* op) const;
+  void CheckNode(NodeId node, const char* op) const {
+    if (node < 0 || node >= num_nodes()) [[unlikely]] {
+      ThrowOutOfRange(node, op);
+    }
+  }
+  // The cold half of CheckNode, kept out of line.
+  [[noreturn]] static void ThrowOutOfRange(NodeId node, const char* op);
   // Per-(index, value) 64-bit Zobrist key (splitmix64 mix, computed on
   // the fly so no table has to cover arbitrary host counts).
   static std::size_t HashKey(std::size_t index, NodeId value);

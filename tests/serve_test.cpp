@@ -189,7 +189,6 @@ TEST(GonBucketingTest, MixedHostGenerateBatchMatchesSequential) {
   for (std::size_t i = 0; i < states.size(); ++i) {
     const core::GenerationResult seq = gon.Generate(states[i].m, states[i]);
     EXPECT_EQ(batched[i].steps, seq.steps) << i;
-    EXPECT_NEAR(batched[i].confidence, seq.confidence, 1e-9) << i;
     ASSERT_EQ(batched[i].metrics.rows(), seq.metrics.rows());
     for (std::size_t r = 0; r < seq.metrics.rows(); ++r) {
       for (std::size_t c = 0; c < seq.metrics.cols(); ++c) {

@@ -10,6 +10,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -197,6 +200,121 @@ TEST(ParamsSnapshotTest, BinaryLoadRejectsTruncatedImage) {
                         std::ios::in | std::ios::binary);
   EXPECT_THROW(nn::LoadParametersBinary(model.network(), cut),
                common::BinaryFormatError);
+}
+
+// The first weight of the module's first parameter.
+double FirstWeight(nn::Module& module) {
+  return module.Parameters().front()->value.flat().front();
+}
+
+TEST(ParamsSnapshotTest, BinaryLoadRejectsNonFiniteWeight) {
+  core::GonModel poisoned(TinyCarolConfig().gon);
+  poisoned.network().Parameters().back()->value(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  nn::SaveParametersBinary(poisoned.network(), buf);
+
+  core::GonConfig other = TinyCarolConfig().gon;
+  other.seed += 1;
+  core::GonModel target(other);
+  core::FeatureEncoder encoder;
+  const core::EncodedState probe = encoder.Encode(MakeSnapshot(0.4, 10, 2));
+  const double before = target.Discriminate(probe);
+  const double first = FirstWeight(target.network());
+  buf.seekg(0);
+  // The NaN sits in the last parameter: every earlier one parsed fine,
+  // yet nothing may have been written.
+  EXPECT_THROW(nn::LoadParametersBinary(target.network(), buf),
+               common::BinaryFormatError);
+  EXPECT_EQ(FirstWeight(target.network()), first);
+  EXPECT_EQ(target.Discriminate(probe), before);
+}
+
+TEST(ParamsSnapshotTest, FailedBinaryLoadLeavesWeightsUnchanged) {
+  // Same encoder, wider GAT: the image matches the first parameters and
+  // fails at the GAT's.
+  core::GonConfig narrow = TinyCarolConfig().gon;
+  core::GonConfig wide = narrow;
+  wide.gat_width = narrow.gat_width + 2;
+  wide.seed += 1;
+  core::GonModel source(wide);
+  core::GonModel target(narrow);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  nn::SaveParametersBinary(source.network(), buf);
+  ASSERT_NE(FirstWeight(source.network()), FirstWeight(target.network()));
+  const double first = FirstWeight(target.network());
+  buf.seekg(0);
+  EXPECT_THROW(nn::LoadParametersBinary(target.network(), buf),
+               common::BinaryFormatError);
+  EXPECT_EQ(FirstWeight(target.network()), first);
+}
+
+TEST(ParamsSnapshotTest, TextLoadRejectsNonFiniteWeight) {
+  core::GonModel poisoned(TinyCarolConfig().gon);
+  poisoned.network().Parameters().back()->value(0, 0) =
+      std::numeric_limits<double>::infinity();
+  const std::string path = ::testing::TempDir() + "carol_inf_params.txt";
+  nn::SaveParameters(poisoned.network(), path);
+  core::GonModel target(TinyCarolConfig(8).gon);
+  const double first = FirstWeight(target.network());
+  EXPECT_THROW(nn::LoadParameters(target.network(), path),
+               std::runtime_error);
+  EXPECT_EQ(FirstWeight(target.network()), first);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceSnapshotTest, FailedLoadWeightsLeavesMasterAndDecisionsUnchanged) {
+  // A text checkpoint whose head parameter name mismatches: the encoder
+  // and GAT weights before it parse fine, but none may be written, and
+  // the service keeps deciding with its old weights.
+  core::GonConfig other_cfg = TinyCarolConfig().gon;
+  other_cfg.seed += 5;
+  core::GonModel other(other_cfg);
+  const std::string path = ::testing::TempDir() + "carol_bad_params.txt";
+  nn::SaveParameters(other.network(), path);
+  {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string contents = text.str();
+    const std::string name = "gon.head.l1.w";
+    const std::size_t at = contents.find(name);
+    ASSERT_NE(at, std::string::npos);
+    contents.replace(at, name.size(), "gon.head.l1.x");
+    std::ofstream out(path);
+    out << contents;
+  }
+
+  const ServiceConfig cfg = TinyServiceConfig(1);
+  FederationSpec spec;
+  spec.carol = TinyCarolConfig();
+  spec.carol.policy = core::FineTunePolicy::kNever;
+  ResilienceService reference(cfg);
+  const SessionId ref_id = reference.OpenSession(spec);
+  ResilienceService service(cfg);
+  const SessionId id = service.OpenSession(spec);
+
+  const double first = FirstWeight(service.master_gon().network());
+  const std::uint64_t epoch = service.weight_epoch();
+  EXPECT_THROW(service.LoadWeights(path), std::runtime_error);
+  EXPECT_EQ(FirstWeight(service.master_gon().network()), first);
+  EXPECT_EQ(service.weight_epoch(), epoch);
+  ExpectEpisodesIdentical(DriveRange(service, id, 12, 3, 0, 3),
+                          DriveRange(reference, ref_id, 12, 3, 0, 3));
+  std::remove(path.c_str());
+}
+
+TEST(ServiceSnapshotTest, RestoreRejectsNonFiniteMasterWeight) {
+  const ServiceConfig cfg = TinyServiceConfig(1);
+  ResilienceService service(cfg);
+  service.master_gon().network().Parameters().front()->value(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  service.BeginDrain();
+  service.WaitDrained();
+  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+  service.SaveSnapshot(image);
+  image.seekg(0);
+  EXPECT_THROW(ResilienceService(cfg, image), common::BinaryFormatError);
 }
 
 // --- tabu search mid-flight ----------------------------------------------

@@ -323,7 +323,6 @@ bool SameRun(const ModelRun& a, const ModelRun& b) {
   }
   for (std::size_t i = 0; i < a.generated.size(); ++i) {
     if (a.generated[i].steps != b.generated[i].steps ||
-        a.generated[i].confidence != b.generated[i].confidence ||
         !(a.generated[i].metrics == b.generated[i].metrics)) {
       return false;
     }
