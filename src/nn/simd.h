@@ -35,17 +35,8 @@ inline Vec Load(const double* p) {
 
 inline void Store(double* p, const Vec& v) { std::memcpy(p, &v, sizeof v); }
 
-// dst[j] += s * src[j] for j < n: the n independent outputs are the
-// lanes, each computed exactly as the scalar statement.
-inline void Axpy(double s, const double* src, double* dst, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    Store(dst + j, Load(dst + j) + s * Load(src + j));
-  }
-  for (; j < n; ++j) dst[j] += s * src[j];
-}
-
-// dst[j] += src[j] for j < n.
+// dst[j] += src[j] for j < n: the n independent outputs are the lanes,
+// each computed exactly as the scalar statement.
 inline void Add(const double* src, double* dst, std::size_t n) {
   std::size_t j = 0;
   for (; j + kLanes <= n; j += kLanes) {
